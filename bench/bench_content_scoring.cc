@@ -1,23 +1,20 @@
-// Content-scoring fast path: naive full scan vs. prepared signatures +
-// EMD-bound pair pruning + threshold-based top-K refinement, in exhaustive
-// content mode (use_lsb_index = false, every query scores the whole corpus)
-// — plus the data-layout ablation sweep on top of that fast path: SoA
-// signature pools (pooled_layout), batched bound kernels (simd_kernels),
-// and per-thread arena scratch (arena_scratch), layered in one at a time.
+// Content-scoring path: the reference oracle's unpruned full scan (naive
+// κJ over every pool member, tests/reference) vs. the engine — prepared
+// signatures in a SoA pool, EMD-bound pair pruning over batched bound
+// matrices, threshold-based top-K refinement and per-query arena scratch —
+// in exhaustive content mode (use_lsb_index = false, every query scores
+// the whole corpus).
 //
 // This is also the smoke gate scripts/verify.sh and CI run in Release mode:
-// it exits non-zero unless (a) every layer combination returns bit-for-bit
-// the naive top-K for every query, (b) the prune counters fired, and
-// (c) the pool/bound counters fired on the rows that enable them. The
-// per-layer speedup is reported (and written to BENCH_content.json) but
-// advisory: content refinement is dominated by the EMD merges the
-// equivalence contract keeps scalar, so the layers buy ~1.2-1.3x here —
-// the hard >= 2x layer gate lives in bench_social_scoring, whose scoring
-// stage is all elementwise bound work.
+// it exits non-zero unless (a) every query returns bit-for-bit the
+// oracle's top-K, (b) the prune counters fired, and (c) the pool and
+// bound-batch counters fired. The speedup is reported (and written to
+// BENCH_content.json) but advisory.
 //
 // Usage: bench_content_scoring [--smoke] [repeat] [k] [out.json]
 //   --smoke: smaller corpus (faster; noisier timings)
-//   repeat:  replays of the full query list per measurement (default 3)
+//   repeat:  engine replays of the full query list (default 3); the oracle
+//            answers each query once
 //   k:       results per query (default 10)
 
 #include <cstdio>
@@ -27,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_oracle.h"
 #include "signature/emd.h"
 #include "signature/prepared_signature.h"
 #include "util/random.h"
@@ -36,6 +34,7 @@ namespace vrec::bench {
 namespace {
 
 struct Measurement {
+  double total_ms = 0.0;
   double refine_ms = 0.0;
   size_t emd_calls = 0;
   size_t pairs_pruned = 0;
@@ -45,19 +44,20 @@ struct Measurement {
   std::vector<std::vector<core::ScoredVideo>> results;
 };
 
-Measurement RunQueries(core::Recommender* rec,
+Measurement RunQueries(const core::Recommender& rec,
                        const std::vector<video::VideoId>& queries, int k) {
   Measurement m;
   m.results.reserve(queries.size());
   for (const video::VideoId q : queries) {
     core::QueryTiming timing;
-    auto results = rec->RecommendById(q, k, &timing);
+    auto results = rec.RecommendById(q, k, &timing);
     if (!results.ok()) {
       std::fprintf(stderr, "query %lld failed: %s\n",
                    static_cast<long long>(q),
                    results.status().ToString().c_str());
       std::abort();
     }
+    m.total_ms += timing.total_ms;
     m.refine_ms += timing.refine_ms;
     m.emd_calls += timing.emd_calls;
     m.pairs_pruned += timing.pairs_pruned;
@@ -69,22 +69,23 @@ Measurement RunQueries(core::Recommender* rec,
   return m;
 }
 
-bool Identical(const Measurement& a, const Measurement& b) {
-  if (a.results.size() != b.results.size()) return false;
-  for (size_t q = 0; q < a.results.size(); ++q) {
-    if (a.results[q].size() != b.results[q].size()) return false;
-    for (size_t i = 0; i < a.results[q].size(); ++i) {
-      const core::ScoredVideo& x = a.results[q][i];
-      const core::ScoredVideo& y = b.results[q][i];
-      // Bitwise, not approximate: the prunes and layers are exact by
-      // construction.
-      if (x.id != y.id || x.score != y.score || x.content != y.content ||
-          x.social != y.social) {
-        return false;
-      }
+Measurement RunOracle(const reference::Oracle& oracle,
+                      const std::vector<video::VideoId>& queries, int k) {
+  Measurement m;
+  m.results.reserve(queries.size());
+  Stopwatch timer;
+  for (const video::VideoId q : queries) {
+    auto results = oracle.RecommendById(q, k);
+    if (!results.ok()) {
+      std::fprintf(stderr, "oracle query %lld failed: %s\n",
+                   static_cast<long long>(q),
+                   results.status().ToString().c_str());
+      std::abort();
     }
+    m.results.push_back(std::move(results).value());
   }
-  return true;
+  m.total_ms = timer.ElapsedMillis();
+  return m;
 }
 
 // Kernel-level cost of the prepared form: EmdExact1D (sort per call) vs.
@@ -128,23 +129,6 @@ void KernelMicrobench(double* naive_us, double* prepared_us) {
   if (sink < 0.0) std::printf("impossible %f\n", sink);  // keep `sink` live
 }
 
-struct LayerSpec {
-  const char* name;
-  bool pooled;
-  bool simd;
-  bool arena;
-};
-
-// The ablation ladder: the plain PR-3 fast path, then each data-layout
-// layer stacked on top. Every rung must reproduce the naive top-K bitwise.
-constexpr LayerSpec kLayers[] = {
-    {"base", false, false, false},
-    {"pooled", true, false, false},
-    {"pooled+simd", true, true, false},
-    {"pooled+simd+arena", true, true, true},
-};
-constexpr size_t kLayerCount = sizeof(kLayers) / sizeof(kLayers[0]);
-
 int Run(bool smoke, int repeat, int k, const std::string& out_path) {
   datagen::DatasetOptions data_options = EffectivenessDatasetOptions();
   if (smoke) {
@@ -153,9 +137,7 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
   } else {
     // Full mode scales the corpus up: with the exhaustive scan refining
     // every record, a larger corpus shifts refine cost toward the stage-2
-    // bound matrices most candidates stop at — the regime the SoA pools
-    // and batched bound kernels exist for (a 120-video corpus is EMD-bound
-    // and measures mostly kernel-invariant work).
+    // bound matrices most candidates stop at.
     data_options.num_topics = 60;
     data_options.base_videos_per_topic = 5;
   }
@@ -168,50 +150,43 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
   options.social_mode = core::SocialMode::kSarHash;
   options.use_lsb_index = false;  // exhaustive: every query scans the corpus
 
-  core::RecommenderOptions naive_options = options;
-  naive_options.prune_pairs = false;
-  naive_options.prune_candidates = false;
-  naive_options.pooled_layout = false;
-  naive_options.simd_kernels = false;
-  naive_options.arena_scratch = false;
-
+  std::vector<video::VideoId> corpus_ids;
+  for (size_t v = 0; v < dataset.video_count(); ++v) {
+    corpus_ids.push_back(static_cast<video::VideoId>(v));
+  }
   std::vector<video::VideoId> queries;
   for (int r = 0; r < repeat; ++r) {
-    for (size_t v = 0; v < dataset.video_count(); ++v) {
-      queries.push_back(static_cast<video::VideoId>(v));
-    }
+    queries.insert(queries.end(), corpus_ids.begin(), corpus_ids.end());
   }
   const double n = static_cast<double>(queries.size());
+  const double n_oracle = static_cast<double>(corpus_ids.size());
 
-  const auto naive = BuildRecommender(dataset, naive_options);
-  RunQueries(naive.get(), {0}, k);  // warm-up, then measure
-  const Measurement naive_m = RunQueries(naive.get(), queries, k);
+  const auto engine = BuildRecommender(dataset, options);
+  RunQueries(*engine, {0}, k);  // warm-up, then measure
+  const Measurement fast = RunQueries(*engine, queries, k);
+  const auto oracle = BuildOracle(dataset, *engine);
+  const Measurement naive = RunOracle(*oracle, corpus_ids, k);
 
-  Measurement layer_m[kLayerCount];
-  for (size_t l = 0; l < kLayerCount; ++l) {
-    core::RecommenderOptions layer_options = options;
-    layer_options.pooled_layout = kLayers[l].pooled;
-    layer_options.simd_kernels = kLayers[l].simd;
-    layer_options.arena_scratch = kLayers[l].arena;
-    const auto rec = BuildRecommender(dataset, layer_options);
-    RunQueries(rec.get(), {0}, k);
-    layer_m[l] = RunQueries(rec.get(), queries, k);
-  }
-  const Measurement& base_m = layer_m[0];
-
-  std::printf("refine ms/query (vs naive %.3f):\n", naive_m.refine_ms / n);
-  for (size_t l = 0; l < kLayerCount; ++l) {
-    std::printf("  %-18s %8.3f  %5.2fx vs naive, %5.2fx vs base\n",
-                kLayers[l].name, layer_m[l].refine_ms / n,
-                naive_m.refine_ms / layer_m[l].refine_ms,
-                base_m.refine_ms / layer_m[l].refine_ms);
-  }
-  std::printf("fast path per query: %.0f EMD calls (naive %.0f), "
-              "%.0f pairs pruned, %.0f candidates pruned\n",
-              static_cast<double>(base_m.emd_calls) / n,
-              static_cast<double>(naive_m.emd_calls) / n,
-              static_cast<double>(base_m.pairs_pruned) / n,
-              static_cast<double>(base_m.candidates_pruned) / n);
+  // The oracle answered each query once; compare it with the engine's
+  // first replay.
+  const bool equivalent = Identical(
+      std::vector<std::vector<core::ScoredVideo>>(
+          fast.results.begin(),
+          fast.results.begin() + static_cast<long>(corpus_ids.size())),
+      naive.results);
+  const double naive_ms = naive.total_ms / n_oracle;
+  const double fast_ms = fast.total_ms / n;
+  std::printf("ms/query: oracle %.3f, engine %.3f (refine %.3f)  ->  "
+              "%.2fx\n",
+              naive_ms, fast_ms, fast.refine_ms / n, naive_ms / fast_ms);
+  std::printf("engine per query: %.0f EMD calls, %.0f pairs pruned, "
+              "%.0f candidates pruned, %.0f pool bytes, %.1f bound "
+              "batches\n",
+              static_cast<double>(fast.emd_calls) / n,
+              static_cast<double>(fast.pairs_pruned) / n,
+              static_cast<double>(fast.candidates_pruned) / n,
+              static_cast<double>(fast.pool_bytes_streamed) / n,
+              static_cast<double>(fast.bound_batches) / n);
 
   double kernel_naive_us = 0.0;
   double kernel_prepared_us = 0.0;
@@ -220,39 +195,11 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
               kernel_naive_us, kernel_prepared_us,
               kernel_naive_us / kernel_prepared_us);
 
-  bool equivalent = true;
-  bool layer_counters = true;
-  for (size_t l = 0; l < kLayerCount; ++l) {
-    if (!Identical(layer_m[l], naive_m)) {
-      std::fprintf(stderr, "layer %s diverges from the naive top-K\n",
-                   kLayers[l].name);
-      equivalent = false;
-    }
-    // The layers must actually engage: pooled rows stream pool bytes, simd
-    // rows batch bound fills, and rows without a layer must not touch it.
-    const bool pool_ok = (layer_m[l].pool_bytes_streamed > 0) ==
-                         kLayers[l].pooled;
-    const bool batch_ok = (layer_m[l].bound_batches > 0) == kLayers[l].simd;
-    if (!pool_ok || !batch_ok) {
-      std::fprintf(stderr, "layer %s counters off: pool bytes %zu, "
-                   "bound batches %zu\n",
-                   kLayers[l].name, layer_m[l].pool_bytes_streamed,
-                   layer_m[l].bound_batches);
-      layer_counters = false;
-    }
-  }
-  const bool pruned =
-      base_m.pairs_pruned > 0 && base_m.candidates_pruned > 0;
-  // The layer speedup is advisory here: EMD calls and the order-sensitive
-  // Sigma-min merges are identical across layers by construction (bit-exact
-  // equivalence forces the same prune decisions), so the vectorizable share
-  // of content refinement is bounded. The hard >= 2x layer gate is in
-  // bench_social_scoring where the scoring stage is pure bound arithmetic.
-  const double layer_speedup = base_m.refine_ms / layer_m[2].refine_ms;
-  std::printf("equivalence: %s, bounds fired: %s, layer counters: %s, "
-              "pooled+simd refine %.2fx vs base (advisory)\n",
+  const bool pruned = fast.pairs_pruned > 0 && fast.candidates_pruned > 0;
+  const bool counters = fast.pool_bytes_streamed > 0 && fast.bound_batches > 0;
+  std::printf("equivalence: %s, bounds fired: %s, pool/bound counters: %s\n",
               equivalent ? "PASS" : "FAIL", pruned ? "PASS" : "FAIL",
-              layer_counters ? "PASS" : "FAIL", layer_speedup);
+              counters ? "PASS" : "FAIL");
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -262,54 +209,38 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
   std::fprintf(out,
                "{\n"
                "  \"smoke\": %s,\n"
-               "  \"queries\": %zu,\n"
+               "  \"videos\": %zu,\n"
+               "  \"engine_queries\": %zu,\n"
+               "  \"oracle_queries\": %zu,\n"
                "  \"k\": %d,\n"
-               "  \"naive_refine_ms_per_query\": %.6f,\n"
-               "  \"fast_refine_ms_per_query\": %.6f,\n"
-               "  \"refine_speedup\": %.4f,\n"
-               "  \"layers\": {\n",
-               smoke ? "true" : "false", queries.size(), k,
-               naive_m.refine_ms / n, base_m.refine_ms / n,
-               naive_m.refine_ms / base_m.refine_ms);
-  for (size_t l = 0; l < kLayerCount; ++l) {
-    std::fprintf(out,
-                 "    \"%s\": {\n"
-                 "      \"refine_ms_per_query\": %.6f,\n"
-                 "      \"speedup_vs_naive\": %.4f,\n"
-                 "      \"speedup_vs_base\": %.4f,\n"
-                 "      \"pool_bytes_streamed_per_query\": %.1f,\n"
-                 "      \"bound_batches_per_query\": %.2f,\n"
-                 "      \"equivalent\": %s\n"
-                 "    }%s\n",
-                 kLayers[l].name, layer_m[l].refine_ms / n,
-                 naive_m.refine_ms / layer_m[l].refine_ms,
-                 base_m.refine_ms / layer_m[l].refine_ms,
-                 static_cast<double>(layer_m[l].pool_bytes_streamed) / n,
-                 static_cast<double>(layer_m[l].bound_batches) / n,
-                 Identical(layer_m[l], naive_m) ? "true" : "false",
-                 l + 1 < kLayerCount ? "," : "");
-  }
-  std::fprintf(out,
-               "  },\n"
+               "  \"oracle_ms_per_query\": %.6f,\n"
+               "  \"engine_ms_per_query\": %.6f,\n"
+               "  \"engine_refine_ms_per_query\": %.6f,\n"
+               "  \"speedup\": %.4f,\n"
                "  \"emd_calls_per_query\": %.2f,\n"
-               "  \"naive_emd_calls_per_query\": %.2f,\n"
                "  \"pairs_pruned_per_query\": %.2f,\n"
                "  \"candidates_pruned_per_query\": %.2f,\n"
+               "  \"pool_bytes_streamed_per_query\": %.1f,\n"
+               "  \"bound_batches_per_query\": %.2f,\n"
                "  \"kernel_naive_us\": %.4f,\n"
                "  \"kernel_prepared_us\": %.4f,\n"
-               "  \"layer_speedup_pooled_simd_vs_base\": %.4f,\n"
                "  \"equivalent\": %s,\n"
-               "  \"bounds_fired\": %s\n"
+               "  \"bounds_fired\": %s,\n"
+               "  \"counters_fired\": %s\n"
                "}\n",
-               static_cast<double>(base_m.emd_calls) / n,
-               static_cast<double>(naive_m.emd_calls) / n,
-               static_cast<double>(base_m.pairs_pruned) / n,
-               static_cast<double>(base_m.candidates_pruned) / n,
-               kernel_naive_us, kernel_prepared_us, layer_speedup,
-               equivalent ? "true" : "false", pruned ? "true" : "false");
+               smoke ? "true" : "false", dataset.video_count(),
+               queries.size(), corpus_ids.size(), k, naive_ms, fast_ms,
+               fast.refine_ms / n, naive_ms / fast_ms,
+               static_cast<double>(fast.emd_calls) / n,
+               static_cast<double>(fast.pairs_pruned) / n,
+               static_cast<double>(fast.candidates_pruned) / n,
+               static_cast<double>(fast.pool_bytes_streamed) / n,
+               static_cast<double>(fast.bound_batches) / n, kernel_naive_us,
+               kernel_prepared_us, equivalent ? "true" : "false",
+               pruned ? "true" : "false", counters ? "true" : "false");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
-  if (!equivalent || !pruned || !layer_counters) return 1;
+  if (!equivalent || !pruned || !counters) return 1;
   return 0;
 }
 

@@ -1,19 +1,16 @@
-// Social-path fast path: dense pairwise scoring vs. sparse histograms +
-// posting-driven Σmin accumulation (SAR modes) and name-set Jaccard vs.
-// id-keyed merges with cardinality-bound pruning (exact mode), in SR
-// configuration (use_content = false) so the social stage is the whole
-// query cost. The sar mode additionally sweeps the data-layout ablation
-// ladder (base fast path, +pooled_layout, +simd_kernels, +arena_scratch)
-// against one shared dense baseline.
+// Social path: the reference oracle (name-set Equation 5, dense Equation 6
+// over every candidate, tests/reference) vs. the engine — id-keyed exact
+// Jaccard with cardinality-bound pruning, and sparse histograms with
+// posting-driven Σmin scoring off a pooled mirror — in SR configuration
+// (use_content = false) so the social stage is the whole query cost.
 //
 // This is also a smoke gate for scripts/verify.sh and CI: it exits
-// non-zero unless (a) every mode and layer row returns bit-for-bit the
-// naive top-K for every query, (b) the skip counters fired (the
-// cardinality bound pruned merges, the posting walk skipped
-// disjoint-audience records, the pool/bound counters engaged exactly on
-// the rows enabling them), and (c) outside --smoke, the pooled+simd SAR
-// scoring stage runs >= 2x faster than the dense baseline. Results go to
-// BENCH_social.json.
+// non-zero unless (a) every mode returns bit-for-bit the oracle's top-K
+// for every query, (b) the shortcut counters fired (the cardinality bound
+// pruned merges and ran batched, the posting walk skipped
+// disjoint-audience records, SAR scores came off the pool), and
+// (c) outside --smoke, the engine's SAR scoring stage runs >= 2x faster
+// than the oracle's. Results go to BENCH_social.json.
 //
 // Usage: bench_social_scoring [--smoke] [repeat] [k] [out.json]
 //   --smoke: smaller corpus, one replay, speedup gate advisory only
@@ -28,6 +25,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_oracle.h"
+#include "reference/kernels.h"
 #include "social/sar.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -36,7 +35,7 @@ namespace vrec::bench {
 namespace {
 
 struct Measurement {
-  double social_ms = 0.0;  // candidate stage (vectorize + posting walk)
+  double total_ms = 0.0;
   double refine_ms = 0.0;  // pool scoring (pure social: content is off)
   size_t jaccard_calls = 0;
   size_t social_candidates_skipped = 0;
@@ -46,20 +45,20 @@ struct Measurement {
   std::vector<std::vector<core::ScoredVideo>> results;
 };
 
-Measurement RunQueries(core::Recommender* rec,
+Measurement RunQueries(const core::Recommender& rec,
                        const std::vector<video::VideoId>& queries, int k) {
   Measurement m;
   m.results.reserve(queries.size());
   for (const video::VideoId q : queries) {
     core::QueryTiming timing;
-    auto results = rec->RecommendById(q, k, &timing);
+    auto results = rec.RecommendById(q, k, &timing);
     if (!results.ok()) {
       std::fprintf(stderr, "query %lld failed: %s\n",
                    static_cast<long long>(q),
                    results.status().ToString().c_str());
       std::abort();
     }
-    m.social_ms += timing.social_ms;
+    m.total_ms += timing.total_ms;
     m.refine_ms += timing.refine_ms;
     m.jaccard_calls += timing.jaccard_calls;
     m.social_candidates_skipped += timing.social_candidates_skipped;
@@ -71,38 +70,40 @@ Measurement RunQueries(core::Recommender* rec,
   return m;
 }
 
-bool Identical(const Measurement& a, const Measurement& b) {
-  if (a.results.size() != b.results.size()) return false;
-  for (size_t q = 0; q < a.results.size(); ++q) {
-    if (a.results[q].size() != b.results[q].size()) return false;
-    for (size_t i = 0; i < a.results[q].size(); ++i) {
-      const core::ScoredVideo& x = a.results[q][i];
-      const core::ScoredVideo& y = b.results[q][i];
-      // Bitwise, not approximate: every fast layer is exact by
-      // construction.
-      if (x.id != y.id || x.score != y.score || x.content != y.content ||
-          x.social != y.social) {
-        return false;
-      }
+Measurement RunOracle(const reference::Oracle& oracle,
+                      const std::vector<video::VideoId>& queries, int k) {
+  Measurement m;
+  m.results.reserve(queries.size());
+  Stopwatch timer;
+  for (const video::VideoId q : queries) {
+    reference::Oracle::Timing timing;
+    auto results = oracle.RecommendById(q, k, &timing);
+    if (!results.ok()) {
+      std::fprintf(stderr, "oracle query %lld failed: %s\n",
+                   static_cast<long long>(q),
+                   results.status().ToString().c_str());
+      std::abort();
     }
+    m.refine_ms += timing.refine_ms;
+    m.results.push_back(std::move(results).value());
   }
-  return true;
+  m.total_ms = timer.ElapsedMillis();
+  return m;
 }
 
 struct ModeResult {
   std::string name;
-  double naive_ms = 0.0;         // per query, candidate + scoring stages
-  double fast_ms = 0.0;          // per query, candidate + scoring stages
-  double naive_scoring_ms = 0.0;  // per query, pool scoring only
-  double fast_scoring_ms = 0.0;   // per query, pool scoring only
-  double speedup = 0.0;          // end to end
-  double scoring_speedup = 0.0;  // the stage the sparse layers target
-  double fast_jaccard = 0.0;   // per query
-  double naive_jaccard = 0.0;  // per query
+  double oracle_ms = 0.0;          // per query, wall time
+  double engine_ms = 0.0;          // per query, QueryTiming::total_ms
+  double oracle_scoring_ms = 0.0;  // per query, pool scoring only
+  double engine_scoring_ms = 0.0;  // per query, pool scoring only
+  double speedup = 0.0;            // end to end
+  double scoring_speedup = 0.0;    // the stage the posting walk targets
+  double jaccard_calls = 0.0;  // per query
   double skipped = 0.0;        // per query
   double pruned = 0.0;         // per query
-  double pool_bytes = 0.0;     // per query (pooled_layout rows only)
-  double batches = 0.0;        // per query (simd_kernels rows only)
+  double pool_bytes = 0.0;     // per query
+  double batches = 0.0;        // per query
   bool equivalent = false;
 };
 
@@ -128,7 +129,7 @@ void KernelMicrobench(double* dense_us, double* sparse_us) {
       const auto u = static_cast<social::UserId>(rng.UniformInt(0, users - 1));
       if (!d.Contains(u)) d.Add(u);
     }
-    dense.push_back(dict.Vectorize(d));
+    dense.push_back(reference::Vectorize(dict, d));
     sparse.push_back(dict.VectorizeSparse(d));
   }
   const int rounds = 2000;
@@ -136,7 +137,8 @@ void KernelMicrobench(double* dense_us, double* sparse_us) {
   Stopwatch timer;
   for (int r = 0; r < rounds; ++r) {
     for (size_t i = 0; i < dense.size(); ++i) {
-      sink += social::ApproxJaccard(dense[i], dense[(i + 1) % dense.size()]);
+      sink +=
+          reference::ApproxJaccard(dense[i], dense[(i + 1) % dense.size()]);
     }
   }
   *dense_us = 1e6 * timer.ElapsedSeconds() /
@@ -153,81 +155,63 @@ void KernelMicrobench(double* dense_us, double* sparse_us) {
   if (sink < 0.0) std::printf("impossible %f\n", sink);  // keep `sink` live
 }
 
-// One row of the comparison: the fast side runs `mode` with the given
-// data-layout layers; the naive side always runs the dense all-layers-off
-// baseline. Pass `naive_cache` to reuse a baseline measured on the same
-// dataset/mode (the layer sweep shares one).
+// One row of the comparison: the engine runs `mode` in SR configuration;
+// the oracle answers the same queries once each.
 ModeResult RunMode(const datagen::Dataset& dataset, core::SocialMode mode,
                    const std::string& name, int repeat, int k,
-                   size_t max_candidates, bool pooled, bool simd, bool arena,
-                   const Measurement* naive_cache = nullptr,
-                   Measurement* naive_out = nullptr) {
+                   size_t max_candidates) {
   core::RecommenderOptions options;
   options.social_mode = mode;
   options.use_content = false;  // SR: the social stage is the query
   options.k_subcommunities = 128;
   // A tight pool makes the exact candidate heap fill, which is what arms
-  // the cardinality bound. Identical on both sides, so equivalence still
-  // compares like with like.
+  // the cardinality bound.
   options.max_candidates = max_candidates;
-  options.pooled_layout = pooled;
-  options.simd_kernels = simd;
-  options.arena_scratch = arena;
 
-  core::RecommenderOptions naive_options = options;
-  naive_options.sparse_social = false;
-  naive_options.exact_social_by_id = false;
-  naive_options.posting_social = false;
-  naive_options.pooled_layout = false;
-  naive_options.simd_kernels = false;
-  naive_options.arena_scratch = false;
-
+  std::vector<video::VideoId> corpus_ids;
+  for (size_t v = 0; v < dataset.video_count(); ++v) {
+    corpus_ids.push_back(static_cast<video::VideoId>(v));
+  }
   std::vector<video::VideoId> queries;
   for (int r = 0; r < repeat; ++r) {
-    for (size_t v = 0; v < dataset.video_count(); ++v) {
-      queries.push_back(static_cast<video::VideoId>(v));
-    }
+    queries.insert(queries.end(), corpus_ids.begin(), corpus_ids.end());
   }
 
-  // Warm-up, then measure (the naive baseline once per dataset/mode).
-  const auto fast = BuildRecommender(dataset, options);
-  RunQueries(fast.get(), {0}, k);
-  const Measurement fast_m = RunQueries(fast.get(), queries, k);
-  Measurement naive_local;
-  if (naive_cache == nullptr) {
-    const auto naive = BuildRecommender(dataset, naive_options);
-    RunQueries(naive.get(), {0}, k);
-    naive_local = RunQueries(naive.get(), queries, k);
-    naive_cache = &naive_local;
-  }
-  const Measurement& naive_m = *naive_cache;
-  if (naive_out != nullptr) *naive_out = naive_m;
+  const auto engine = BuildRecommender(dataset, options);
+  RunQueries(*engine, {0}, k);  // warm-up, then measure
+  const Measurement fast = RunQueries(*engine, queries, k);
+  const auto oracle = BuildOracle(dataset, *engine);
+  RunOracle(*oracle, {0}, k);
+  const Measurement naive = RunOracle(*oracle, corpus_ids, k);
 
   const double n = static_cast<double>(queries.size());
   ModeResult r;
   r.name = name;
-  r.naive_ms = (naive_m.social_ms + naive_m.refine_ms) / n;
-  r.fast_ms = (fast_m.social_ms + fast_m.refine_ms) / n;
-  r.naive_scoring_ms = naive_m.refine_ms / n;
-  r.fast_scoring_ms = fast_m.refine_ms / n;
-  r.speedup = (naive_m.social_ms + naive_m.refine_ms) /
-              (fast_m.social_ms + fast_m.refine_ms);
-  r.scoring_speedup = naive_m.refine_ms / fast_m.refine_ms;
-  r.fast_jaccard = static_cast<double>(fast_m.jaccard_calls) / n;
-  r.naive_jaccard = static_cast<double>(naive_m.jaccard_calls) / n;
-  r.skipped = static_cast<double>(fast_m.social_candidates_skipped) / n;
-  r.pruned = static_cast<double>(fast_m.exact_social_pruned) / n;
-  r.pool_bytes = static_cast<double>(fast_m.pool_bytes_streamed) / n;
-  r.batches = static_cast<double>(fast_m.bound_batches) / n;
-  r.equivalent = Identical(fast_m, naive_m);
-  std::printf("%-18s total naive %.3f -> fast %.3f ms/query (%.2fx), "
-              "scoring %.3f -> %.3f ms/query (%.2fx)\n"
-              "                   Jaccard %.0f vs %.0f, skipped %.0f, "
-              "pruned %.0f, pool B %.0f, batches %.1f  %s\n",
-              name.c_str(), r.naive_ms, r.fast_ms, r.speedup,
-              r.naive_scoring_ms, r.fast_scoring_ms, r.scoring_speedup,
-              r.fast_jaccard, r.naive_jaccard, r.skipped, r.pruned,
-              r.pool_bytes, r.batches,
+  r.oracle_ms = naive.total_ms / static_cast<double>(corpus_ids.size());
+  r.engine_ms = fast.total_ms / n;
+  r.speedup = r.oracle_ms / r.engine_ms;
+  r.oracle_scoring_ms =
+      naive.refine_ms / static_cast<double>(corpus_ids.size());
+  r.engine_scoring_ms = fast.refine_ms / n;
+  r.scoring_speedup = r.oracle_scoring_ms / r.engine_scoring_ms;
+  r.jaccard_calls = static_cast<double>(fast.jaccard_calls) / n;
+  r.skipped = static_cast<double>(fast.social_candidates_skipped) / n;
+  r.pruned = static_cast<double>(fast.exact_social_pruned) / n;
+  r.pool_bytes = static_cast<double>(fast.pool_bytes_streamed) / n;
+  r.batches = static_cast<double>(fast.bound_batches) / n;
+  // The oracle answered each query once; compare with the first replay.
+  r.equivalent = Identical(
+      std::vector<std::vector<core::ScoredVideo>>(
+          fast.results.begin(),
+          fast.results.begin() + static_cast<long>(corpus_ids.size())),
+      naive.results);
+  std::printf("%-6s oracle %.3f -> engine %.3f ms/query (%.2fx), scoring "
+              "%.4f -> %.4f ms/query (%.2fx)\n"
+              "       Jaccard %.0f, skipped %.0f, pruned %.0f, pool B %.0f, "
+              "batches %.1f  %s\n",
+              name.c_str(), r.oracle_ms, r.engine_ms, r.speedup,
+              r.oracle_scoring_ms, r.engine_scoring_ms, r.scoring_speedup,
+              r.jaccard_calls, r.skipped, r.pruned, r.pool_bytes, r.batches,
               r.equivalent ? "MATCH" : "MISMATCH");
   return r;
 }
@@ -261,28 +245,13 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
 
   // Exact mode gets a tight pool so the candidate heap fills and the bound
   // can reject merges; the SAR modes keep a wide pool so the scoring stage
-  // is the measured cost. The headline rows run the full layer stack; the
-  // sar sweep below then peels the data-layout layers back off one at a
-  // time against one shared dense baseline.
+  // carries real work.
   const ModeResult exact =
-      RunMode(exact_data, core::SocialMode::kExact, "exact", repeat, k, 12,
-              true, true, true);
-  Measurement sar_naive;
-  const ModeResult sar_base =
-      RunMode(sar_data, core::SocialMode::kSar, "sar/base", repeat, k, 400,
-              false, false, false, nullptr, &sar_naive);
-  const ModeResult sar_pooled =
-      RunMode(sar_data, core::SocialMode::kSar, "sar/pooled", repeat, k, 400,
-              true, false, false, &sar_naive);
+      RunMode(exact_data, core::SocialMode::kExact, "exact", repeat, k, 12);
   const ModeResult sar =
-      RunMode(sar_data, core::SocialMode::kSar, "sar/pooled+simd", repeat, k,
-              400, true, true, false, &sar_naive);
-  const ModeResult sar_arena =
-      RunMode(sar_data, core::SocialMode::kSar, "sar/all", repeat, k, 400,
-              true, true, true, &sar_naive);
+      RunMode(sar_data, core::SocialMode::kSar, "sar", repeat, k, 400);
   const ModeResult sarh =
-      RunMode(sar_data, core::SocialMode::kSarHash, "sar-h", repeat, k, 400,
-              true, true, true);
+      RunMode(sar_data, core::SocialMode::kSarHash, "sar-h", repeat, k, 400);
 
   double kernel_dense_us = 0.0;
   double kernel_sparse_us = 0.0;
@@ -291,28 +260,19 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
               kernel_dense_us, kernel_sparse_us,
               kernel_dense_us / kernel_sparse_us);
 
-  const bool equivalent = exact.equivalent && sar_base.equivalent &&
-                          sar_pooled.equivalent && sar.equivalent &&
-                          sar_arena.equivalent && sarh.equivalent;
-  // The shortcuts must actually fire: the bound skips exact merges, the
-  // posting walk leaves disjoint-audience records untouched, the fast side
-  // runs strictly fewer pairwise Jaccard evaluations — and the data-layout
-  // counters engage exactly on the rows that enable them (the exact row's
-  // candidate sweep batches bounds; pooled sar rows stream pool bytes).
-  const bool counters_fired =
-      exact.pruned > 0.0 && sar.skipped > 0.0 && sarh.skipped > 0.0 &&
-      exact.fast_jaccard < exact.naive_jaccard &&
-      sar.fast_jaccard < sar.naive_jaccard && exact.batches > 0.0 &&
-      sar.pool_bytes > 0.0 && sar_base.pool_bytes == 0.0 &&
-      sar_base.batches == 0.0 && sar_pooled.batches == 0.0;
-  // The >= 2x full-mode gate holds on the pooled+simd layer: the SoA
-  // histogram pool must preserve (and it in practice extends) the sparse
-  // fast path's margin over the dense baseline.
+  const bool equivalent =
+      exact.equivalent && sar.equivalent && sarh.equivalent;
+  const bool counters_fired = exact.pruned > 0.0 && exact.batches > 0.0 &&
+                              sar.skipped > 0.0 && sarh.skipped > 0.0 &&
+                              sar.pool_bytes > 0.0 && sarh.pool_bytes > 0.0;
+  // The >= 2x full-mode gate is on the SAR scoring stage: Σmin lookups
+  // from the posting walk against the oracle's dense Equation 6 per pool
+  // member.
   const double sar_speedup =
       std::min(sar.scoring_speedup, sarh.scoring_speedup);
   const bool fast_enough = sar_speedup >= 2.0;
-  std::printf("equivalence: %s, shortcuts fired: %s, SAR pooled+simd "
-              "scoring stage %.2fx (gate >= 2x%s): %s\n",
+  std::printf("equivalence: %s, shortcuts fired: %s, SAR scoring stage "
+              "engine vs oracle %.2fx (gate >= 2x%s): %s\n",
               equivalent ? "PASS" : "FAIL",
               counters_fired ? "PASS" : "FAIL", sar_speedup,
               smoke ? ", advisory under --smoke" : "",
@@ -326,37 +286,37 @@ int Run(bool smoke, int repeat, int k, const std::string& out_path) {
   std::fprintf(out,
                "{\n"
                "  \"smoke\": %s,\n"
-               "  \"queries_per_mode\": %zu,\n"
+               "  \"engine_queries_per_mode\": %zu,\n"
+               "  \"oracle_queries_per_mode\": %zu,\n"
                "  \"k\": %d,\n"
                "  \"modes\": {\n",
                smoke ? "true" : "false",
-               exact_data.video_count() * static_cast<size_t>(repeat), k);
-  const ModeResult* results[] = {&exact,  &sar_base, &sar_pooled,
-                                 &sar,    &sar_arena, &sarh};
+               exact_data.video_count() * static_cast<size_t>(repeat),
+               exact_data.video_count(), k);
+  const ModeResult* results[] = {&exact, &sar, &sarh};
   constexpr size_t kRows = sizeof(results) / sizeof(results[0]);
   for (size_t i = 0; i < kRows; ++i) {
     const ModeResult& r = *results[i];
     std::fprintf(out,
                  "    \"%s\": {\n"
-                 "      \"naive_social_ms_per_query\": %.6f,\n"
-                 "      \"fast_social_ms_per_query\": %.6f,\n"
-                 "      \"naive_scoring_ms_per_query\": %.6f,\n"
-                 "      \"fast_scoring_ms_per_query\": %.6f,\n"
+                 "      \"oracle_ms_per_query\": %.6f,\n"
+                 "      \"engine_ms_per_query\": %.6f,\n"
+                 "      \"oracle_scoring_ms_per_query\": %.6f,\n"
+                 "      \"engine_scoring_ms_per_query\": %.6f,\n"
                  "      \"speedup\": %.4f,\n"
                  "      \"scoring_speedup\": %.4f,\n"
                  "      \"jaccard_calls_per_query\": %.2f,\n"
-                 "      \"naive_jaccard_calls_per_query\": %.2f,\n"
                  "      \"candidates_skipped_per_query\": %.2f,\n"
                  "      \"exact_merges_pruned_per_query\": %.2f,\n"
                  "      \"pool_bytes_streamed_per_query\": %.1f,\n"
                  "      \"bound_batches_per_query\": %.2f,\n"
                  "      \"equivalent\": %s\n"
                  "    }%s\n",
-                 r.name.c_str(), r.naive_ms, r.fast_ms, r.naive_scoring_ms,
-                 r.fast_scoring_ms, r.speedup, r.scoring_speedup,
-                 r.fast_jaccard, r.naive_jaccard, r.skipped, r.pruned,
-                 r.pool_bytes, r.batches,
-                 r.equivalent ? "true" : "false", i + 1 < kRows ? "," : "");
+                 r.name.c_str(), r.oracle_ms, r.engine_ms,
+                 r.oracle_scoring_ms, r.engine_scoring_ms, r.speedup,
+                 r.scoring_speedup, r.jaccard_calls, r.skipped, r.pruned, r.pool_bytes,
+                 r.batches, r.equivalent ? "true" : "false",
+                 i + 1 < kRows ? "," : "");
   }
   std::fprintf(out,
                "  },\n"

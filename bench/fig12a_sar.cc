@@ -1,8 +1,9 @@
 // Figure 12 (a): effect of the social relevance optimizations on query
 // time. Varies the dataset scale from 50 to 200 "hours" and times the
 // average recommendation under:
-//   CSF        - exact Jaccard over full user sets (no optimization)
-//   CSF-SAR    - sub-community histograms, sorted-array dictionary
+//   CSF        - exact Jaccard (Eq. 5) by sorted-id merge, with the
+//                cardinality bound skipping dominated merges
+//   CSF-SAR    - sub-community histograms, linear-scan dictionary
 //   CSF-SAR-H  - sub-community histograms, chained hash dictionary
 // Paper: CSF slowest by a wide margin; SAR cuts the cost; hashing cuts the
 // dictionary-lookup share further.

@@ -14,6 +14,7 @@
 
 #include "hashing/chained_hash_table.h"
 #include "index/lsb_index.h"
+#include "reference/kernels.h"
 #include "signature/emd.h"
 #include "signature/sequence_distances.h"
 #include "signature/series_measures.h"
@@ -89,7 +90,7 @@ void BM_SarApproxJaccard(benchmark::State& state) {
     b[static_cast<size_t>(i)] = rng.Uniform(0.0, 20.0);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(social::ApproxJaccard(a, b));
+    benchmark::DoNotOptimize(reference::ApproxJaccard(a, b));
   }
 }
 BENCHMARK(BM_SarApproxJaccard);
@@ -133,7 +134,7 @@ void BM_ExactJaccardByNames(benchmark::State& state) {
     b.push_back(social::UserName(rng.UniformInt(0, 5000)));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(social::ExactJaccardByNames(a, b));
+    benchmark::DoNotOptimize(reference::ExactJaccardByNames(a, b));
   }
 }
 BENCHMARK(BM_ExactJaccardByNames)->Arg(100)->Arg(1000);

@@ -22,14 +22,13 @@ cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
 echo "=== content fast path: release smoke (equivalence + prune counters) ==="
-# The bench exits non-zero unless every data-layout ablation layer (SoA
-# pools, batched bound kernels, arena scratch) reproduces the naive top-K
-# bit for bit, both prune counters are nonzero (bounds fired), and the
-# pool/bound counters fire exactly on the layers that enable them.
+# The bench exits non-zero unless every query reproduces the reference
+# oracle's top-K bit for bit, both prune counters are nonzero (bounds
+# fired), and the pool/bound counters fired.
 ./build/bench/bench_content_scoring --smoke 1 10 build/BENCH_content.json
 
 echo "=== social fast path: release smoke (equivalence + skip counters) ==="
-# Exits non-zero unless every social mode's fast path reproduces the naive
+# Exits non-zero unless every social mode reproduces the reference oracle's
 # top-K bit for bit AND the skip counters fired (cardinality bound pruned
 # merges, posting walk skipped disjoint-audience records). The >= 2x SAR
 # scoring-stage gate is advisory under --smoke.
@@ -37,13 +36,14 @@ echo "=== social fast path: release smoke (equivalence + skip counters) ==="
 
 echo "=== simd-off: scalar-fallback build reproduces the vectorized results ==="
 # -DVREC_SIMD=OFF compiles the same loop bodies without the omp-simd
-# pragmas. The equivalence suites and the bench's bit-for-bit gate must
-# still pass — proving the pragmas only changed instruction scheduling,
-# never values, and that the scalar fallback path stays healthy.
+# pragmas. The engine-vs-oracle equivalence suites and the bench's
+# bit-for-bit gate must still pass — proving the pragmas only changed
+# instruction scheduling, never values, and that the scalar fallback path
+# stays healthy.
 cmake -B build-nosimd -S . -DVREC_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$JOBS" --target vrec_tests bench_content_scoring
 (cd build-nosimd && ctest --output-on-failure -j "$JOBS" \
-  -R 'FastPathEquivalence|SocialFastPath|PreparedPool|HistogramPool|SimdKernel')
+  -R 'FastPathEquivalence|SocialFastPath|OracleDifferential|PreparedPool|HistogramPool|SimdKernel')
 ./build-nosimd/bench/bench_content_scoring --smoke 1 10 \
   build-nosimd/BENCH_content.json
 
@@ -63,12 +63,13 @@ echo "=== shard equivalence: scatter-gather vs single box, bit for bit ==="
 
 echo "=== snapshot: save/load equivalence + mmap cold-start smoke ==="
 # The full suite above already runs the Snapshot tests; this stage re-runs
-# them by name so a persistence regression is called out as its own
-# failure, then drives the cold-start bench: save, mmap-load, stream-load,
+# them (and the oracle differential test, whose mutation sequences include
+# mmap and stream reloads) by name so a persistence regression is called
+# out as its own failure, then drives the cold-start bench: save, mmap-load, stream-load,
 # every by-id query bit-for-bit vs the never-saved engine, bytes_mapped > 0
 # (the zero-copy pool adoption actually engaged). The >= 10x restore
 # speedup gate is advisory under --smoke.
-(cd build && ctest --output-on-failure -j "$JOBS" -R 'Snapshot')
+(cd build && ctest --output-on-failure -j "$JOBS" -R 'Snapshot|OracleDifferential')
 ./build/bench/bench_snapshot --smoke build/BENCH_snapshot.json
 
 echo "=== asan: invariant stress + wire decoders under Address+UBSanitizer ==="

@@ -30,13 +30,13 @@ struct QueryTiming {
   /// LSB index this never exceeds max(max_candidates, k + 1); exhaustive
   /// content modes (DTW/ERP or use_lsb_index=false) scan the live corpus.
   size_t candidates = 0;
-  /// Fast-path work counters (kKappaJ content only; all 0 for DTW/ERP).
+  /// Content work counters (kKappaJ content only; all 0 for DTW/ERP).
   size_t emd_calls = 0;          // exact EMD kernel evaluations
   size_t pairs_pruned = 0;       // signature pairs skipped by the EMD bound
   size_t candidates_pruned = 0;  // pool entries skipped by the FJ bound
-  /// Social fast-path counters.
-  /// Pairwise Jaccard evaluations actually executed (dense sweeps, sparse
-  /// merges, id merge-intersections, or name-set comparisons).
+  /// Social work counters.
+  /// kExact id merge-intersections actually executed (SAR scores come
+  /// from the posting walk's Σmin table and are not counted).
   size_t jaccard_calls = 0;
   /// SAR posting-driven scoring: live records sharing no sub-community
   /// with the query — never touched by the inverted-file walk, so they
@@ -46,14 +46,13 @@ struct QueryTiming {
   /// upper bound proved the candidate dominated (by the running candidate
   /// heap or the refinement's k-th best bar).
   size_t exact_social_pruned = 0;
-  /// Data-layout layer observability (see RecommenderOptions).
+  /// Data-layout observability.
   /// Bytes of pooled signature/histogram data handed to scoring kernels
-  /// through pool views this query. Nonzero iff pooled_layout is on and
-  /// the refinement touched at least one pooled candidate.
+  /// through pool views this query. Nonzero whenever the refinement
+  /// read at least one pooled candidate.
   size_t pool_bytes_streamed = 0;
   /// Batched bound-kernel invocations (one per refinement candidate bound
-  /// matrix; one per kExact candidate-stage sweep). Nonzero iff
-  /// simd_kernels is on and a bound was needed.
+  /// matrix; one per kExact candidate-stage sweep).
   size_t bound_batches = 0;
 
   /// Field-wise accumulation — THE one place that sums timings. Aggregators

@@ -84,12 +84,6 @@ Status Recommender::AddVideoRecord(video::VideoId id,
   record.id = id;
   record.series = std::move(series);
   record.descriptor = std::move(descriptor);
-  if (options_.social_mode == SocialMode::kExact &&
-      !options_.exact_social_by_id) {
-    // Only the naive name-set path needs the strings; the id fast path
-    // scores straight off the descriptor's sorted id array.
-    record.user_names = NamesOf(record.descriptor);
-  }
   index_of_[id] = records_.size();
   for (social::UserId u : record.descriptor.users()) {
     videos_of_user_[u].push_back(records_.size());
@@ -105,14 +99,10 @@ void Recommender::RefreshVideoVector(size_t index) {
   for (const auto& bin : record.social_vector.bins) {
     inverted_file_.RemoveVideoFromCommunity(bin.first, record.id);
   }
-  util::Arena* arena = options_.arena_scratch ? util::ThisThreadArena() : nullptr;
-  if (arena != nullptr) arena->Reset();
+  util::Arena* arena = util::ThisThreadArena();
+  arena->Reset();
   dictionary_->VectorizeSparse(record.descriptor, &record.social_vector,
                                arena);
-  if (!options_.sparse_social) {
-    record.social_dense = social::ToDense(record.social_vector,
-                                          dictionary_->k());
-  }
   // The removal above guarantees this video has no posting left in any
   // community, so the duplicate-scanning Add would only re-verify what we
   // already know — append directly (keeps the rebuild linear).
@@ -121,9 +111,7 @@ void Recommender::RefreshVideoVector(size_t index) {
   }
   // Keep the pooled scoring mirror in sync (tombstoned old range, histogram
   // re-appended at the tail; the pool self-compacts under churn).
-  if (histogram_pool_.slot_count() > index) {
-    histogram_pool_.Update(index, record.social_vector);
-  }
+  histogram_pool_.Update(index, record.social_vector);
 }
 
 Status Recommender::Finalize(size_t user_count) {
@@ -198,15 +186,10 @@ Status Recommender::FinalizeImpl(
     // serially afterwards (shared map, cheap appends).
     util::ParallelFor(pool_.get(), records_.size(), [&](size_t i) {
       if (!records_[i].active) return;
-      util::Arena* arena =
-          options_.arena_scratch ? util::ThisThreadArena() : nullptr;
-      if (arena != nullptr) arena->Reset();
+      util::Arena* arena = util::ThisThreadArena();
+      arena->Reset();
       dictionary_->VectorizeSparse(records_[i].descriptor,
                                    &records_[i].social_vector, arena);
-      if (!options_.sparse_social) {
-        records_[i].social_dense =
-            social::ToDense(records_[i].social_vector, dictionary_->k());
-      }
     });
     for (const Record& r : records_) {
       if (!r.active) continue;
@@ -214,57 +197,47 @@ Status Recommender::FinalizeImpl(
         inverted_file_.Append(c, r.id, w);
       }
     }
-    if (options_.pooled_layout) {
-      // Flatten the per-record histograms into the SoA scoring mirror.
-      std::vector<const social::SparseHistogram*> histograms;
-      histograms.reserve(records_.size());
-      for (const Record& r : records_) {
-        histograms.push_back(r.active ? &r.social_vector : nullptr);
-      }
-      histogram_pool_.Build(histograms);
+    // Flatten the per-record histograms into the SoA scoring mirror.
+    std::vector<const social::SparseHistogram*> histograms;
+    histograms.reserve(records_.size());
+    for (const Record& r : records_) {
+      histograms.push_back(r.active ? &r.social_vector : nullptr);
     }
+    histogram_pool_.Build(histograms);
   }
 
   if (UsesKappaFastPath()) {
     // Prepare every series once (value-sorted supports, prefix-summed
-    // weights, cached centroids); all query-time EMD work runs off this
-    // cache. Independent per record, so it fans across the pool. Built even
-    // in exhaustive mode (use_lsb_index = false) — the refinement stage is
-    // where the fast path pays off most there.
+    // weights, cached centroids); independent per record, so it fans
+    // across the pool. Built even in exhaustive mode (use_lsb_index =
+    // false) — the refinement stage is where the prepared form pays off
+    // most there. The staging vector feeds the LSB bulk build (which embeds
+    // the keys during the call and retains no pointers) and is then
+    // flattened into the SoA pool, the one prepared store every query-time
+    // kernel reads views from.
+    std::vector<signature::PreparedSeries> prepared(records_.size());
     util::ParallelFor(pool_.get(), records_.size(), [&](size_t i) {
-      records_[i].prepared = signature::PrepareSeries(records_[i].series);
+      prepared[i] = signature::PrepareSeries(records_[i].series);
     });
-  }
-
-  if (UsesKappaFastPath() && options_.use_lsb_index) {
-    index::LsbIndex::Options lsb = options_.lsb;
-    lsb_ = std::make_unique<index::LsbIndex>(lsb);
-    std::vector<std::pair<int64_t, const signature::PreparedSeries*>> series;
-    series.reserve(records_.size());
-    for (const Record& r : records_) series.emplace_back(r.id, &r.prepared);
-    lsb_->AddVideosBulkPrepared(series, pool_.get());
-  }
-
-  if (UsesKappaFastPath() && options_.pooled_layout) {
-    // Migrate the prepared signatures into the flat SoA pool and drop the
-    // per-record copies — from here on the pool is the authoritative
-    // prepared store and every scoring kernel reads views into it. This
-    // must run after the LSB build above, which consumes r.prepared (it
-    // embeds the keys during the call and retains no pointers).
-    std::vector<const signature::PreparedSeries*> prepared;
-    prepared.reserve(records_.size());
-    for (const Record& r : records_) {
-      prepared.push_back(r.active ? &r.prepared : nullptr);
+    if (options_.use_lsb_index) {
+      lsb_ = std::make_unique<index::LsbIndex>(options_.lsb);
+      std::vector<std::pair<int64_t, const signature::PreparedSeries*>>
+          series;
+      series.reserve(records_.size());
+      for (size_t i = 0; i < records_.size(); ++i) {
+        series.emplace_back(records_[i].id, &prepared[i]);
+      }
+      lsb_->AddVideosBulkPrepared(series, pool_.get());
     }
-    prepared_pool_.Build(prepared);
-    for (Record& r : records_) {
-      r.prepared.clear();
-      r.prepared.shrink_to_fit();
+    std::vector<const signature::PreparedSeries*> live;
+    live.reserve(records_.size());
+    for (size_t i = 0; i < records_.size(); ++i) {
+      live.push_back(records_[i].active ? &prepared[i] : nullptr);
     }
+    prepared_pool_.Build(live);
   }
 
-  if (options_.social_mode == SocialMode::kExact &&
-      options_.exact_social_by_id) {
+  if (options_.social_mode == SocialMode::kExact) {
     // Dense |descriptor| mirror for the batched cardinality-bound sweep.
     descriptor_sizes_.resize(records_.size());
     for (size_t i = 0; i < records_.size(); ++i) {
@@ -296,14 +269,9 @@ Status Recommender::CheckInvariants() const {
         return Status::Internal("tombstoned video " + std::to_string(r.id) +
                                 " still indexed");
       }
-      if (!r.social_vector.empty() || r.social_vector.sum != 0.0 ||
-          !r.social_dense.empty()) {
+      if (!r.social_vector.empty() || r.social_vector.sum != 0.0) {
         return Status::Internal("tombstoned video " + std::to_string(r.id) +
                                 " retains a social vector");
-      }
-      if (!r.prepared.empty()) {
-        return Status::Internal("tombstoned video " + std::to_string(r.id) +
-                                " retains prepared signatures");
       }
       if (prepared_pool_.slot_count() > i && !prepared_pool_.View(i).empty()) {
         return Status::Internal("tombstoned video " + std::to_string(r.id) +
@@ -325,29 +293,9 @@ Status Recommender::CheckInvariants() const {
       return Status::Internal("video " + std::to_string(r.id) +
                               " not indexed at its slot");
     }
-    if (options_.social_mode == SocialMode::kExact &&
-        !options_.exact_social_by_id &&
-        r.user_names.size() != r.descriptor.size()) {
-      return Status::Internal("cached user names out of sync for video " +
-                              std::to_string(r.id));
-    }
-    if ((options_.social_mode != SocialMode::kExact ||
-         options_.exact_social_by_id) &&
-        !r.user_names.empty()) {
-      return Status::Internal("video " + std::to_string(r.id) +
-                              " caches user names outside the naive name-set "
-                              "path");
-    }
-    // Prepared cache mirrors the raw series signature for signature, with
-    // value-sorted supports (what the two-pointer EMD kernel assumes).
-    // Under pooled_layout the mirror lives in prepared_pool_ and the
-    // per-record copies must be gone.
-    if (UsesKappaFastPath() && options_.pooled_layout) {
-      if (!r.prepared.empty()) {
-        return Status::Internal("video " + std::to_string(r.id) +
-                                " retains an owned prepared series in "
-                                "pooled layout");
-      }
+    // The pooled prepared series mirrors the raw series signature for
+    // signature.
+    if (UsesKappaFastPath()) {
       if (prepared_pool_.slot_count() != records_.size()) {
         return Status::Internal("prepared pool slot count off");
       }
@@ -363,23 +311,6 @@ Status Recommender::CheckInvariants() const {
                                   std::to_string(r.id));
         }
       }
-    } else if (UsesKappaFastPath()) {
-      if (r.prepared.size() != r.series.size()) {
-        return Status::Internal("prepared series out of sync for video " +
-                                std::to_string(r.id));
-      }
-      for (size_t s = 0; s < r.prepared.size(); ++s) {
-        const signature::PreparedSignature& p = r.prepared[s];
-        if (p.size() != r.series[s].size() ||
-            !std::is_sorted(p.values.begin(), p.values.end())) {
-          return Status::Internal("prepared signature " + std::to_string(s) +
-                                  " corrupt for video " +
-                                  std::to_string(r.id));
-        }
-      }
-    } else if (!r.prepared.empty()) {
-      return Status::Internal("prepared series present outside the kKappaJ "
-                              "fast path for video " + std::to_string(r.id));
     }
   }
   if (index_of_.size() != active) {
@@ -434,12 +365,12 @@ Status Recommender::CheckInvariants() const {
   // SoA scoring pools: structural self-audits, slot-per-record shape, and
   // (for the histogram mirror) bin-for-bin agreement with the records'
   // authoritative sparse vectors.
-  if (UsesKappaFastPath() && options_.pooled_layout) {
+  if (UsesKappaFastPath()) {
     if (const Status s = prepared_pool_.CheckInvariants(); !s.ok()) return s;
   } else if (prepared_pool_.slot_count() != 0) {
-    return Status::Internal("prepared pool populated outside pooled kKappaJ");
+    return Status::Internal("prepared pool populated outside kKappaJ");
   }
-  if (UsesSar() && options_.pooled_layout) {
+  if (UsesSar()) {
     if (const Status s = histogram_pool_.CheckInvariants(); !s.ok()) return s;
     if (histogram_pool_.slot_count() != records_.size()) {
       return Status::Internal("histogram pool slot count off");
@@ -460,11 +391,9 @@ Status Recommender::CheckInvariants() const {
       }
     }
   } else if (histogram_pool_.slot_count() != 0) {
-    return Status::Internal("histogram pool populated outside pooled SAR");
+    return Status::Internal("histogram pool populated outside SAR modes");
   }
-  const bool wants_sizes = options_.social_mode == SocialMode::kExact &&
-                           options_.exact_social_by_id;
-  if (wants_sizes) {
+  if (options_.social_mode == SocialMode::kExact) {
     if (descriptor_sizes_.size() != records_.size()) {
       return Status::Internal("descriptor-size mirror length off");
     }
@@ -478,7 +407,7 @@ Status Recommender::CheckInvariants() const {
     }
   } else if (!descriptor_sizes_.empty()) {
     return Status::Internal(
-        "descriptor-size mirror populated outside the kExact id path");
+        "descriptor-size mirror populated outside kExact");
   }
   // Social structures.
   if (UsesSar()) {
@@ -490,8 +419,7 @@ Status Recommender::CheckInvariants() const {
     // Postings mirror the live social vectors exactly: every sparse bin has
     // its posting, and no posting lacks a vector entry. Each sparse
     // histogram also passes its own structural audit (sorted bins, positive
-    // weights, consistent cached sum), and the naive ablation's dense
-    // mirror — when materialized — agrees with it bin for bin.
+    // weights, consistent cached sum).
     size_t nonzero_entries = 0;
     size_t postings = 0;
     for (const Record& r : records_) {
@@ -500,29 +428,6 @@ Status Recommender::CheckInvariants() const {
               r.social_vector, maintainer_->label_space());
           !s.ok()) {
         return s;
-      }
-      if (!options_.sparse_social) {
-        // The mirror keeps the k it was vectorized with — untouched records
-        // are not re-materialized when maintenance grows the label space
-        // (ApproxJaccard zero-extends), so validate at the record's own
-        // length and require it to cover every stored bin.
-        if (!r.social_vector.empty() &&
-            r.social_vector.bins.back().first >=
-                static_cast<int>(r.social_dense.size())) {
-          return Status::Internal("dense social mirror of video " +
-                                  std::to_string(r.id) +
-                                  " truncates sparse bins");
-        }
-        const std::vector<double> dense = social::ToDense(
-            r.social_vector, static_cast<int>(r.social_dense.size()));
-        if (r.social_dense != dense) {
-          return Status::Internal("dense social mirror out of sync for "
-                                  "video " + std::to_string(r.id));
-        }
-      } else if (!r.social_dense.empty()) {
-        return Status::Internal("video " + std::to_string(r.id) +
-                                " materializes a dense histogram on the "
-                                "sparse path");
       }
       for (const auto& [c, w] : r.social_vector.bins) {
         ++nonzero_entries;
@@ -593,19 +498,11 @@ StatusOr<BatchQuery> Recommender::ResolveById(video::VideoId id) const {
   return query;
 }
 
-double Recommender::ContentScore(const signature::SignatureSeries& query,
-                                 const Record& record) const {
-  switch (options_.content_measure) {
-    case ContentMeasure::kKappaJ:
-      // Naive reference; query-time kKappaJ scoring goes through the
-      // prepared cache in RecommendInternal instead (bit-identical kernel).
-      return signature::KappaJ(query, record.series, options_.kappa);
-    case ContentMeasure::kDtw:
-      return signature::DtwSimilarity(query, record.series);
-    case ContentMeasure::kErp:
-      return signature::ErpSimilarity(query, record.series);
-  }
-  return 0.0;
+double Recommender::SequenceScore(const signature::SignatureSeries& query,
+                                  const Record& record) const {
+  return options_.content_measure == ContentMeasure::kDtw
+             ? signature::DtwSimilarity(query, record.series)
+             : signature::ErpSimilarity(query, record.series);
 }
 
 double Recommender::FuseScore(double content, double social) const {
@@ -639,51 +536,21 @@ double Recommender::SocialScore(const SocialQuery& query, size_t slot,
     case SocialMode::kNone:
       return 0.0;
     case SocialMode::kExact:
+      // Merge-intersection over the two sorted id arrays (Equation 5).
       ++timing->jaccard_calls;
-      if (options_.exact_social_by_id) {
-        // Merge-intersection over the two sorted id arrays — same
-        // intersection/union cardinalities (names biject ids), same
-        // division, bit-identical score.
-        return social::ExactJaccard(*query.descriptor, record.descriptor);
-      }
-      // The paper's unoptimized Equation 5: quadratic string-set
-      // comparison over the raw user names.
-      return social::ExactJaccardByNames(query.names, record.user_names);
+      return social::ExactJaccard(*query.descriptor, record.descriptor);
     case SocialMode::kSar:
     case SocialMode::kSarHash: {
-      const bool pooled = histogram_pool_.slot_count() > slot;
-      if (query.posting_scored) {
-        // Σmin was accumulated term-at-a-time during the inverted-file
-        // walk; a missing entry means no shared sub-community, which the
-        // pairwise merge would score 0 as well. The candidate's total mass
-        // comes from the pool's cached per-slot sum when pooled (the value
-        // was copied verbatim at build, so the division is bit-identical).
-        const auto it = query.min_overlap.find(record.id);
-        if (it == query.min_overlap.end() || it->second <= 0.0) return 0.0;
-        const double num = it->second;
-        double record_sum;
-        if (pooled) {
-          record_sum = histogram_pool_.SumOf(slot);
-          timing->pool_bytes_streamed += sizeof(double);
-        } else {
-          record_sum = record.social_vector.sum;
-        }
-        const double den = query.sparse.sum + record_sum - num;
-        return den > 0.0 ? num / den : 0.0;
-      }
-      ++timing->jaccard_calls;
-      if (options_.sparse_social) {
-        if (pooled) {
-          // Same two-pointer merge, streaming the pool's flat bin/weight
-          // arrays instead of the record's pair vector.
-          timing->pool_bytes_streamed += histogram_pool_.BytesOf(slot);
-          return social::ApproxJaccardSparse(query.sparse,
-                                             histogram_pool_.View(slot));
-        }
-        return social::ApproxJaccardSparse(query.sparse,
-                                           record.social_vector);
-      }
-      return social::ApproxJaccard(query.dense, record.social_dense);
+      // Σmin was accumulated term-at-a-time during the inverted-file walk;
+      // a missing entry means no shared sub-community, which Equation 6
+      // scores 0 as well. The candidate's total mass is the pool's cached
+      // per-slot sum, so Σmax = |Q| + |V| − Σmin.
+      const auto it = query.min_overlap.find(record.id);
+      if (it == query.min_overlap.end() || it->second <= 0.0) return 0.0;
+      const double num = it->second;
+      timing->pool_bytes_streamed += sizeof(double);
+      const double den = query.sparse.sum + histogram_pool_.SumOf(slot) - num;
+      return den > 0.0 ? num / den : 0.0;
     }
   }
   return 0.0;
@@ -792,13 +659,9 @@ Status Recommender::RemoveVideo(video::VideoId id) {
     inverted_file_.RemoveVideoFromCommunity(bin.first, id);
   }
   record.social_vector.clear();
-  record.social_dense.clear();
-  // Tombstones never score again; drop the prepared cache (the raw series
-  // stays for the LSB invariant audit, whose stale entries are query-time
-  // filtered). The SoA pools tombstone the slot and self-compact once dead
-  // bytes dominate.
-  record.prepared.clear();
-  record.prepared.shrink_to_fit();
+  // Tombstones never score again (the raw series stays for the LSB
+  // invariant audit, whose stale entries are query-time filtered). The SoA
+  // pools tombstone the slot and self-compact once dead bytes dominate.
   if (prepared_pool_.slot_count() > slot) prepared_pool_.Release(slot);
   if (histogram_pool_.slot_count() > slot) histogram_pool_.Release(slot);
   if (!descriptor_sizes_.empty()) descriptor_sizes_[slot] = 0.0;
@@ -827,13 +690,11 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
 
   Stopwatch total;
   QueryTiming timing;
-  // Per-query scratch arena (arena_scratch layer): one bump allocator per
-  // thread, reset at query entry, backing every transient buffer below
-  // (KappaJ scratch, signature views, bound matrices). Null when the layer
-  // is off — the identical containers then fall back to the heap.
-  util::Arena* const arena =
-      options_.arena_scratch ? util::ThisThreadArena() : nullptr;
-  if (arena != nullptr) arena->Reset();
+  // Per-query scratch arena: one bump allocator per thread, reset at query
+  // entry, backing every transient buffer below (KappaJ scratch, signature
+  // views, bound matrices).
+  util::Arena* const arena = util::ThisThreadArena();
+  arena->Reset();
   std::set<size_t> pool;
 
   // --- Social candidate stage (Figure 6 lines 1-3). ---
@@ -841,128 +702,77 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
   SocialQuery social_query;
   social_query.descriptor = &descriptor;
   if (options_.social_mode == SocialMode::kExact) {
-    if (options_.exact_social_by_id) {
-      // Id-keyed CSF: merge-intersections over the sorted user-id arrays,
-      // visited against a running top-M heap (M = max_candidates) keyed by
-      // the same (score desc, id asc) order the naive sort uses. The
-      // cardinality upper bound min(|D_Q|,|D_V|)/max(|D_Q|,|D_V|) skips a
-      // candidate's merge entirely when even that best case could not
-      // displace the worst retained candidate — exact, because IEEE
-      // division is monotone, so the computed bound dominates the computed
-      // Jaccard (see docs/algorithms.md).
-      struct SocialCand {
-        double score;
-        video::VideoId id;
-        size_t slot;
-      };
-      auto cand_better = [](const SocialCand& a, const SocialCand& b) {
-        if (a.score != b.score) return a.score > b.score;
-        return a.id < b.id;
-      };
-      // Min-heap: top() is the worst retained candidate.
-      std::priority_queue<SocialCand, std::vector<SocialCand>,
-                          decltype(cand_better)>
-          heap(cand_better);
-      const size_t cap = options_.max_candidates;
-      const size_t nq = descriptor.size();
-      // simd_kernels layer: the cardinality bound is an elementwise
-      // min/max/divide, so one batched sweep over the dense
-      // descriptor-size mirror fills every record's bound up front —
-      // bit-identical to the scalar per-record form (same casts, same
-      // IEEE division, lane-selected zero guard).
-      util::ArenaVector<double> bound_sweep{util::ArenaAllocator<double>(arena)};
-      const double* bounds_all = nullptr;
-      if (options_.simd_kernels && !records_.empty()) {
-        bound_sweep.resize(records_.size());
-        util::simd::JaccardCardinalityBoundMany(
-            static_cast<double>(nq), descriptor_sizes_.data(),
-            records_.size(), bound_sweep.data());
-        ++timing.bound_batches;
-        bounds_all = bound_sweep.data();
+    // Id-keyed CSF: merge-intersections over the sorted user-id arrays,
+    // visited against a running top-M heap (M = max_candidates) keyed by
+    // (score desc, id asc). The cardinality upper bound
+    // min(|D_Q|,|D_V|)/max(|D_Q|,|D_V|) skips a candidate's merge entirely
+    // when even that best case could not displace the worst retained
+    // candidate — exact, because IEEE division is monotone, so the computed
+    // bound dominates the computed Jaccard (see docs/algorithms.md).
+    struct SocialCand {
+      double score;
+      video::VideoId id;
+      size_t slot;
+    };
+    auto cand_better = [](const SocialCand& a, const SocialCand& b) {
+      if (a.score != b.score) return a.score > b.score;
+      return a.id < b.id;
+    };
+    // Min-heap: top() is the worst retained candidate.
+    std::priority_queue<SocialCand, std::vector<SocialCand>,
+                        decltype(cand_better)>
+        heap(cand_better);
+    const size_t cap = options_.max_candidates;
+    // The cardinality bound is an elementwise min/max/divide, so one
+    // batched sweep over the dense descriptor-size mirror fills every
+    // record's bound up front (same casts, same IEEE division,
+    // lane-selected zero guard as JaccardCardinalityBound).
+    util::ArenaVector<double> bounds{util::ArenaAllocator<double>(arena)};
+    bounds.resize(records_.size());
+    util::simd::JaccardCardinalityBoundMany(
+        static_cast<double>(descriptor.size()), descriptor_sizes_.data(),
+        records_.size(), bounds.data());
+    ++timing.bound_batches;
+    for (size_t i = 0; i < records_.size(); ++i) {
+      const Record& r = records_[i];
+      if (!r.active) continue;
+      const double bound = bounds[i];
+      if (bound <= 0.0) continue;  // exact score is 0; only s > 0 is admitted
+      if (heap.size() == cap && !cand_better({bound, r.id, i}, heap.top())) {
+        ++timing.exact_social_pruned;
+        continue;
       }
-      for (size_t i = 0; i < records_.size(); ++i) {
-        const Record& r = records_[i];
-        if (!r.active) continue;
-        const double bound =
-            bounds_all != nullptr
-                ? bounds_all[i]
-                : social::JaccardCardinalityBound(nq, r.descriptor.size());
-        if (bound <= 0.0) continue;  // exact score is 0; naive admits s > 0
-        if (heap.size() == cap &&
-            !cand_better({bound, r.id, i}, heap.top())) {
-          ++timing.exact_social_pruned;
-          continue;
-        }
-        ++timing.jaccard_calls;
-        const double s = social::ExactJaccard(descriptor, r.descriptor);
-        if (s <= 0.0) continue;
-        if (heap.size() < cap) {
-          heap.push({s, r.id, i});
-        } else if (cand_better({s, r.id, i}, heap.top())) {
-          heap.pop();
-          heap.push({s, r.id, i});
-        }
-      }
-      // The heap holds exactly the naive sort's first max_candidates
-      // entries (top-M by score desc, id asc, among positive scores).
-      while (!heap.empty()) {
-        pool.insert(heap.top().slot);
+      ++timing.jaccard_calls;
+      const double s = social::ExactJaccard(descriptor, r.descriptor);
+      if (s <= 0.0) continue;
+      if (heap.size() < cap) {
+        heap.push({s, r.id, i});
+      } else if (cand_better({s, r.id, i}, heap.top())) {
         heap.pop();
+        heap.push({s, r.id, i});
       }
-    } else {
-      social_query.names = NamesOf(descriptor);
-      // Plain CSF: the unoptimized quadratic string-set Jaccard against
-      // every video — exactly the cost Figure 12(a) shows SAR removing.
-      std::vector<std::pair<double, size_t>> scored;
-      scored.reserve(records_.size());
-      for (size_t i = 0; i < records_.size(); ++i) {
-        if (!records_[i].active) continue;
-        ++timing.jaccard_calls;
-        const double s = social::ExactJaccardByNames(
-            social_query.names, records_[i].user_names);
-        if (s > 0.0) scored.emplace_back(s, i);
-      }
-      // Score descending, ties by ascending video id — the same
-      // deterministic order the final refinement uses, so candidate
-      // admission at the pool boundary is consistent with the ranking it
-      // feeds.
-      std::sort(scored.begin(), scored.end(),
-                [this](const std::pair<double, size_t>& a,
-                       const std::pair<double, size_t>& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return records_[a.second].id < records_[b.second].id;
-                });
-      for (const auto& [s, i] : scored) {
-        if (pool.size() >= options_.max_candidates) break;
-        pool.insert(i);
-      }
+    }
+    // The heap holds the top max_candidates positive scores by (score desc,
+    // id asc) — the same order the final refinement uses, so admission at
+    // the pool boundary is consistent with the ranking it feeds.
+    while (!heap.empty()) {
+      pool.insert(heap.top().slot);
+      heap.pop();
     }
   } else if (UsesSar()) {
     // Vectorize the query descriptor through the dictionary (by user name:
     // this is exactly the lookup path SAR vs SAR-H optimizes), then walk
-    // the inverted files — only the query's non-zero bins' posting lists.
+    // only the query's non-zero bins' posting lists. One pass fills both
+    // the dot-product candidate ranking and the Σmin accumulator the
+    // refinement scores from; records absent from the accumulator share no
+    // sub-community with the query and are never touched again.
     social_query.sparse =
         dictionary_->VectorizeByNameSparse(NamesOf(descriptor));
-    if (!options_.sparse_social) {
-      social_query.dense =
-          social::ToDense(social_query.sparse, dictionary_->k());
-    }
-    std::vector<std::pair<int64_t, double>> candidates;
-    if (options_.posting_social) {
-      // One pass fills both the dot-product candidate ranking and the Σmin
-      // accumulator the refinement scores from; records absent from the
-      // accumulator share no sub-community with the query and are never
-      // touched again.
-      candidates = inverted_file_.CandidatesSparse(
-          social_query.sparse.bins, &social_query.min_overlap);
-      social_query.posting_scored = true;
-      timing.social_candidates_skipped =
-          index_of_.size() - social_query.min_overlap.size();
-    } else if (options_.sparse_social) {
-      candidates = inverted_file_.CandidatesSparse(social_query.sparse.bins);
-    } else {
-      candidates = inverted_file_.Candidates(social_query.dense);
-    }
+    const std::vector<std::pair<int64_t, double>> candidates =
+        inverted_file_.CandidatesSparse(social_query.sparse.bins,
+                                        &social_query.min_overlap);
+    timing.social_candidates_skipped =
+        index_of_.size() - social_query.min_overlap.size();
     for (const auto& [vid, score] : candidates) {
       if (pool.size() >= options_.max_candidates) break;
       const auto idx = index_of_.find(vid);
@@ -1025,73 +835,34 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
 
   // --- Refinement (Figure 6 lines 7-10): FJ over the pool. ---
   phase.Restart();
-  // Shared by every candidate this query; arena-backed when the layer is on.
-  signature::KappaJScratch scratch(arena);
-  signature::KappaJStats kstats;
-  // Candidate prepared-series views: pooled_layout resolves the pool slot
-  // in O(1) (counting the bytes the kernels stream); otherwise the view is
-  // assembled over the record's own vectors in reused storage. Either way
-  // the kernels below run off the same PreparedSeriesView type, which is
-  // what makes the layouts trivially bit-identical.
-  signature::SeriesViewStorage cand_store(arena);
-  auto candidate_view = [&](size_t slot,
-                            const Record& record) -> signature::PreparedSeriesView {
-    if (prepared_pool_.slot_count() > slot) {
-      timing.pool_bytes_streamed += prepared_pool_.BytesOf(slot);
-      return prepared_pool_.View(slot);
-    }
-    return signature::MakeSeriesView(record.prepared, &cand_store);
-  };
-  // simd_kernels layer: per candidate, one batched SimCUpperBoundMany call
-  // per query signature fills the centroid-bound matrix, which the
-  // refinement cascade and the pair prune then share — the bound divisions
-  // happen once instead of twice, vectorized. Consumers read the matrix in
-  // the exact (i, j) order the scalar path computes the bounds, so every
-  // comparison sees the identical IEEE value.
-  util::ArenaVector<double> bound_matrix{util::ArenaAllocator<double>(arena)};
-  auto fill_bounds =
-      [&](const signature::PreparedSeriesView& q,
-          const signature::PreparedSeriesView& c) -> const double* {
-    if (q.count == 0 || c.count == 0) return nullptr;
-    bound_matrix.resize(q.count * c.count);
-    for (size_t qi = 0; qi < q.count; ++qi) {
-      util::simd::SimCUpperBoundMany(q.means[qi], c.means, c.count,
-                                     bound_matrix.data() + qi * c.count);
-    }
-    ++timing.bound_batches;
-    return bound_matrix.data();
-  };
   std::vector<ScoredVideo> scored;
   // The result order everywhere: score descending, ties by ascending id.
   auto better = [](const ScoredVideo& a, const ScoredVideo& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.id < b.id;
   };
+  signature::KappaJStats kstats;
 
-  if (kappa_fast && options_.prune_candidates) {
-    // Threshold-based top-K refinement. Social scores are cheap (a dot
-    // product or a name-set Jaccard) — compute them all first, visit
-    // candidates in descending social order (best FJ prospects fill the
-    // top-K early, tightening the bar), and skip any candidate whose fused
-    // upper bound cannot displace the running k-th best. Both skips are
-    // exact: a skipped candidate's true FJ is strictly below the naive
-    // k-th best score, so it cannot appear in the naive top-K either —
-    // scores, order and tie-breaks are bit-for-bit identical to the full
-    // scan (see docs/algorithms.md for the argument, including why the
-    // kBoundSlack guard makes the float comparison safe).
-    // In kExact-by-id mode the per-candidate "social" seeded below is the
-    // cardinality upper bound, not the score itself: the merge-intersection
-    // is the expensive part, so stage 0 skips it outright for candidates
-    // whose bound already fails the bar (exact for the same monotone-bound
-    // reason as the candidate stage). Other modes resolve social up front
-    // as before — a sparse merge, posting-table lookup, or name-set
-    // Jaccard.
-    const bool exact_bound_order =
-        options_.social_mode == SocialMode::kExact &&
-        options_.exact_social_by_id;
+  if (kappa_fast) {
+    // Threshold-based top-K refinement. Social scores are cheap — compute
+    // them (or, in kExact, their cardinality bound) first, visit candidates
+    // in descending social order (best FJ prospects fill the top-K early,
+    // tightening the bar), and skip any candidate whose fused upper bound
+    // cannot displace the running k-th best. Every skip is exact: a skipped
+    // candidate's true FJ is strictly below the k-th best score of the full
+    // scan, so it cannot appear in its top-K either — scores, order and
+    // tie-breaks are bit-for-bit those of scoring every pool member (see
+    // docs/algorithms.md for the argument, including why the kBoundSlack
+    // guard makes the float comparison safe).
+    // In kExact the per-candidate "social" seeded below is the cardinality
+    // upper bound, not the score itself: the merge-intersection is the
+    // expensive part, so stage 1 skips it outright for candidates whose
+    // bound already fails the bar. SAR modes resolve social up front from
+    // the posting walk's Σmin table.
+    const bool exact_bound_order = options_.social_mode == SocialMode::kExact;
     struct Pending {
       size_t slot;
-      double social;  // exact social, or its upper bound (kExact-by-id)
+      double social;  // exact social, or its upper bound (kExact)
     };
     std::vector<Pending> pending;
     pending.reserve(pool.size());
@@ -1110,6 +881,27 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
                 if (a.social != b.social) return a.social > b.social;
                 return records_[a.slot].id < records_[b.slot].id;
               });
+    // Shared by every candidate this query, arena-backed.
+    signature::KappaJScratch scratch(arena);
+    // Per candidate, one batched SimCUpperBoundMany call per query
+    // signature fills the centroid-bound matrix, which the refinement
+    // cascade and the pair prune then share — the bound divisions happen
+    // once, vectorized. Consumers read the matrix in the exact (i, j) order
+    // the scalar bound is defined in, so every comparison sees the
+    // identical IEEE value.
+    util::ArenaVector<double> bound_matrix{
+        util::ArenaAllocator<double>(arena)};
+    auto fill_bounds =
+        [&](const signature::PreparedSeriesView& c) -> const double* {
+      if (query_view.count == 0 || c.count == 0) return nullptr;
+      bound_matrix.resize(query_view.count * c.count);
+      for (size_t qi = 0; qi < query_view.count; ++qi) {
+        util::simd::SimCUpperBoundMany(query_view.means[qi], c.means, c.count,
+                                       bound_matrix.data() + qi * c.count);
+      }
+      ++timing.bound_batches;
+      return bound_matrix.data();
+    };
     // Min-heap of the running top-K: top() is the current k-th best.
     std::priority_queue<ScoredVideo, std::vector<ScoredVideo>,
                         decltype(better)>
@@ -1120,18 +912,13 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
       const bool full = topk.size() == want;
       const double bar =
           full ? topk.top().score - signature::kBoundSlack : 0.0;
-      if (full) {
-        // Cascade stage 1: kJ <= 1, so FuseScore(1, social) bounds FJ for
-        // free (with p.social itself a bound in kExact-by-id mode, where a
-        // skip here also saves the id merge). In SAR modes social decays
-        // along the visit order, so once this fails every later candidate
-        // fails it too — but stage-1 cost is two flops, so no early break
-        // is taken (kExact ties differ).
-        if (FuseScore(1.0, p.social) < bar) {
-          ++timing.candidates_pruned;
-          if (exact_bound_order) ++timing.exact_social_pruned;
-          continue;
-        }
+      // Cascade stage 1: kJ <= 1, so FuseScore(1, social) bounds FJ for
+      // free (with p.social itself a bound in kExact, where a skip here
+      // also saves the id merge).
+      if (full && FuseScore(1.0, p.social) < bar) {
+        ++timing.candidates_pruned;
+        if (exact_bound_order) ++timing.exact_social_pruned;
+        continue;
       }
       const double social =
           exact_bound_order ? SocialScore(social_query, p.slot, record, &timing)
@@ -1141,14 +928,14 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
         ++timing.candidates_pruned;
         continue;
       }
-      const signature::PreparedSeriesView cview =
-          candidate_view(p.slot, record);
-      const double* bounds = nullptr;  // filled at most once per candidate
+      timing.pool_bytes_streamed += prepared_pool_.BytesOf(p.slot);
+      const signature::PreparedSeriesView cview = prepared_pool_.View(p.slot);
+      // Batch-filled once per candidate, shared by stage 2 and the pair
+      // prune.
+      const double* bounds = fill_bounds(cview);
       if (full) {
-        // Cascade stage 2: the centroid-bound matrix (O(|S1|*|S2|)
-        // subtractions, no EMD) — batch-filled once and reused by the pair
-        // prune below when the simd layer is on.
-        if (options_.simd_kernels) bounds = fill_bounds(query_view, cview);
+        // Cascade stage 2: the centroid-bound matrix (O(|S1|*|S2|), no
+        // EMD).
         const double content_ub = signature::KappaJUpperBound(
             query_view, cview, options_.kappa, bounds, &scratch);
         if (FuseScore(content_ub, social) < bar) {
@@ -1156,16 +943,12 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
           continue;
         }
       }
-      if (options_.simd_kernels && options_.prune_pairs &&
-          bounds == nullptr) {
-        bounds = fill_bounds(query_view, cview);
-      }
       ScoredVideo sv;
       sv.id = record.id;
       sv.social = social;
-      sv.content = signature::KappaJPrepared(
-          query_view, cview, options_.kappa, options_.prune_pairs, bounds,
-          &scratch, &kstats);
+      sv.content = signature::KappaJPrepared(query_view, cview, options_.kappa,
+                                             /*prune=*/true, bounds, &scratch,
+                                             &kstats);
       sv.score = FuseScore(sv.content, sv.social);
       if (topk.size() < want) {
         topk.push(sv);
@@ -1182,30 +965,15 @@ StatusOr<std::vector<ScoredVideo>> Recommender::RecommendInternal(
     }
     std::reverse(scored.begin(), scored.end());
   } else {
-    // Full scan (DTW/ERP, or candidate pruning disabled). kKappaJ still
-    // scores through the prepared cache so both refinement paths share one
-    // kernel.
+    // Full scan: DTW / ERP content (no bound to prune with) or SR (no
+    // content term at all).
     scored.reserve(pool.size());
     for (size_t i : pool) {
       const Record& record = records_[i];
       if (record.id == exclude || !record.active) continue;
       ScoredVideo sv;
       sv.id = record.id;
-      if (options_.use_content) {
-        if (kappa_fast) {
-          const signature::PreparedSeriesView cview =
-              candidate_view(i, record);
-          const double* bounds =
-              options_.simd_kernels && options_.prune_pairs
-                  ? fill_bounds(query_view, cview)
-                  : nullptr;
-          sv.content = signature::KappaJPrepared(
-              query_view, cview, options_.kappa, options_.prune_pairs,
-              bounds, &scratch, &kstats);
-        } else {
-          sv.content = ContentScore(series, record);
-        }
-      }
+      if (options_.use_content) sv.content = SequenceScore(series, record);
       sv.social = SocialScore(social_query, i, record, &timing);
       sv.score = FuseScore(sv.content, sv.social);
       scored.push_back(sv);
@@ -1237,10 +1005,6 @@ StatusOr<social::MaintenanceStats> Recommender::ApplySocialUpdate(
     Record& record = records_[it->second];
     if (!record.descriptor.Contains(user)) {
       record.descriptor.Add(user);
-      if (options_.social_mode == SocialMode::kExact &&
-          !options_.exact_social_by_id) {
-        record.user_names.push_back(social::UserName(user));
-      }
       if (!descriptor_sizes_.empty()) {
         descriptor_sizes_[it->second] =
             static_cast<double>(record.descriptor.size());

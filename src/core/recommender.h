@@ -63,56 +63,6 @@ struct RecommenderOptions {
   /// refine stage scans all videos.
   bool use_lsb_index = true;
   int lsb_probes = 8;
-  /// Content fast-path toggles (kKappaJ only; ignored for DTW/ERP). Both
-  /// prunes are *exact* — results are bit-for-bit identical with them on or
-  /// off — so the flags exist for ablation and the equivalence tests, not as
-  /// accuracy knobs.
-  /// Skip signature pairs whose centroid EMD lower bound proves SimC cannot
-  /// reach kappa.match_threshold (see EmdLowerBound).
-  bool prune_pairs = true;
-  /// Threshold-based top-K refinement: score cheap social first, then skip
-  /// candidates whose fused upper bound cannot displace the running k-th
-  /// best result.
-  bool prune_candidates = true;
-  /// Social fast-path toggles. Like the content prunes, every layer is
-  /// *exact* — top-K results are bit-for-bit identical with the flags on or
-  /// off — so the flags exist for ablation and the equivalence tests only.
-  /// Score SAR histograms in their sparse (bin, weight) form with the
-  /// two-pointer Σmin merge; off stores and sweeps dense k-dim vectors
-  /// (the naive baseline).
-  bool sparse_social = true;
-  /// kExact scoring by merge-intersection over the sorted user-id sets,
-  /// with the cardinality upper bound min(|D_Q|,|D_V|)/max(|D_Q|,|D_V|)
-  /// pruning dominated candidates; off recomputes the paper's quadratic
-  /// user-name string-set Jaccard per candidate.
-  bool exact_social_by_id = true;
-  /// SAR refinement scores from the Σmin accumulator filled during the
-  /// single inverted-file walk (term-at-a-time over the query's non-zero
-  /// bins), so records sharing no sub-community with the query are never
-  /// touched; off recomputes a pairwise histogram merge per candidate.
-  bool posting_social = true;
-  /// Data-layout & SIMD layers. Like the fast-path toggles above, every
-  /// layer is *exact* — top-K results are bit-for-bit identical in every
-  /// flag combination — so these exist for ablation and the equivalence
-  /// suites, not as accuracy knobs (see docs/tuning.md "Data layout &
-  /// SIMD").
-  /// Store the prepared signatures and sparse SAR histograms in flat
-  /// structure-of-arrays pools (signature::PreparedPool /
-  /// social::HistogramPool) built at Finalize() and score through O(1)
-  /// views into them, so the scoring kernels stream contiguous memory; off
-  /// keeps the per-record heap vectors.
-  bool pooled_layout = true;
-  /// Batched bound kernels (util/simd.*, vectorized under -DVREC_SIMD=ON):
-  /// one centroid-bound matrix per refinement candidate — computed by
-  /// SimCUpperBoundMany and shared between the candidate-skip cascade and
-  /// the pair prune, halving the bound divisions — plus the batched
-  /// audience-cardinality bound over the whole corpus in the kExact
-  /// candidate stage. Off computes every bound inline, pair by pair.
-  bool simd_kernels = true;
-  /// Per-thread bump-allocator scratch (util/arena.h) behind the per-query
-  /// buffers (KappaJScratch, view storage, bound matrices), reset once per
-  /// query; off takes the identical code path with heap-backed buffers.
-  bool arena_scratch = true;
   /// Refinement pool size (top social + content candidates kept).
   size_t max_candidates = 400;
   /// Worker threads for Finalize() and RecommendBatch(): 0 picks the
@@ -358,24 +308,10 @@ class Recommender : public QueryEngine {
   struct Record {
     video::VideoId id = -1;
     signature::SignatureSeries series;
-    /// Value-sorted, prefix-summed form of `series`, built once at
-    /// Finalize() when the kKappaJ fast path is active (empty otherwise and
-    /// after RemoveVideo). Every query-time EMD runs off this cache. Under
-    /// pooled_layout the data migrates into `prepared_pool_` at the end of
-    /// Finalize() and this member is cleared — the pool is authoritative.
-    signature::PreparedSeries prepared;
     social::SocialDescriptor descriptor;
     /// Sparse SAR histogram (SAR modes): sorted (bin, weight) pairs plus
     /// the cached weight sum — O(nnz) per record instead of O(k).
     social::SparseHistogram social_vector;
-    /// Dense k-dim histogram, materialized only when sparse_social is off
-    /// (the naive ablation baseline sweeps this bin-by-bin).
-    std::vector<double> social_dense;
-    /// Cached user-name strings (kExact mode with exact_social_by_id off
-    /// only): the paper's baseline CSF compares descriptors as raw name
-    /// sets, string by string. The id fast path reads the descriptor's
-    /// sorted id array instead and keeps no strings at all.
-    std::vector<std::string> user_names;
     /// false after RemoveVideo (tombstone; slot indexes stay stable).
     bool active = true;
   };
@@ -394,38 +330,33 @@ class Recommender : public QueryEngine {
     return options_.social_mode == SocialMode::kSar ||
            options_.social_mode == SocialMode::kSarHash;
   }
-  /// True when queries score content through the prepared-signature kernels
-  /// (kKappaJ); DTW/ERP keep the naive per-call path.
+  /// True when queries score content through the prepared-signature pool
+  /// (kKappaJ); DTW/ERP score the raw series per call.
   bool UsesKappaFastPath() const {
     return options_.use_content &&
            options_.content_measure == ContentMeasure::kKappaJ;
   }
-  double ContentScore(const signature::SignatureSeries& query,
-                      const Record& record) const;
+  /// DTW / ERP similarity of the query and a record's raw series.
+  double SequenceScore(const signature::SignatureSeries& query,
+                       const Record& record) const;
   /// The fusion switch (Equation 9 and the ablation rules), shared by the
   /// refinement loop and its upper-bound cascade so both run the identical
   /// arithmetic. Monotone non-decreasing in `content` for every rule, which
   /// is what makes FuseScore(upper_bound, social) a valid FJ upper bound.
   double FuseScore(double content, double social) const;
   /// Per-query social state, built once in the social candidate stage and
-  /// read by every candidate score: the query descriptor view plus
-  /// whichever representations the active mode/layers need.
+  /// read by every candidate score.
   struct SocialQuery {
-    const social::SocialDescriptor* descriptor = nullptr;  // kExact (ids)
-    std::vector<std::string> names;          // kExact naive (name sets)
-    social::SparseHistogram sparse;          // SAR sparse/posting layers
-    std::vector<double> dense;               // SAR naive (dense sweeps)
+    const social::SocialDescriptor* descriptor = nullptr;  // kExact
+    social::SparseHistogram sparse;                        // SAR modes
     /// video id -> Σ min(query mass, record mass) over shared bins, filled
-    /// by the posting-driven inverted-file walk; valid iff posting_scored.
+    /// by the inverted-file walk of the SAR candidate stage.
     std::unordered_map<video::VideoId, double> min_overlap;
-    bool posting_scored = false;
   };
-  /// One candidate's social relevance under the active mode and fast-path
-  /// layers. Bumps `timing`'s jaccard_calls for every pairwise evaluation
-  /// actually executed (posting-driven lookups don't count — that work
-  /// happened once in the inverted-file walk). `slot` is the candidate's
-  /// record index, used to resolve its pooled histogram view under
-  /// pooled_layout.
+  /// One candidate's social relevance under the active mode. kExact runs
+  /// the id merge (bumping `timing`'s jaccard_calls); SAR modes divide the
+  /// walk's Σmin by Σmax = |Q| + |V| − Σmin, reading the candidate's mass
+  /// from the histogram pool at `slot`.
   double SocialScore(const SocialQuery& query, size_t slot,
                      const Record& record, QueryTiming* timing) const;
   static std::vector<std::string> NamesOf(
@@ -459,13 +390,14 @@ class Recommender : public QueryEngine {
   // Content index.
   std::unique_ptr<index::LsbIndex> lsb_;
 
-  // Structure-of-arrays scoring pools (pooled_layout; built at Finalize()).
-  // Slot i mirrors records_[i]; tombstoned/empty records hold empty slots.
+  // Structure-of-arrays scoring pools, built at Finalize(): the prepared
+  // signatures (kKappaJ) and the SAR histograms. Slot i mirrors
+  // records_[i]; tombstoned/empty records hold empty slots.
   signature::PreparedPool prepared_pool_;
   social::HistogramPool histogram_pool_;
-  /// Dense |descriptor| mirror (kExact id path only): feeds the batched
-  /// audience-cardinality bound sweep in the candidate stage when
-  /// simd_kernels is on. Zero for tombstones.
+  /// Dense |descriptor| mirror (kExact): feeds the batched
+  /// audience-cardinality bound sweep in the candidate stage. Zero for
+  /// tombstones.
   std::vector<double> descriptor_sizes_;
 
   // Worker pool shared by Finalize() and RecommendBatch(); null when

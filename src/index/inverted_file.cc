@@ -86,17 +86,6 @@ Status InvertedFile::CheckInvariants() const {
   return Status::Ok();
 }
 
-std::vector<std::pair<int64_t, double>> InvertedFile::Candidates(
-    const std::vector<double>& query_histogram) const {
-  std::vector<std::pair<int, double>> bins;
-  for (size_t c = 0; c < query_histogram.size(); ++c) {
-    if (query_histogram[c] > 0.0) {
-      bins.emplace_back(static_cast<int>(c), query_histogram[c]);
-    }
-  }
-  return CandidatesSparse(bins);
-}
-
 std::vector<std::pair<int64_t, double>> InvertedFile::CandidatesSparse(
     const std::vector<std::pair<int, double>>& query_bins,
     std::unordered_map<int64_t, double>* min_overlap) const {

@@ -48,16 +48,11 @@ class InvertedFile {
 
   /// Social candidate generation: accumulates, for every video sharing a
   /// non-zero sub-community with the query histogram, the dot product of
-  /// query mass and posting weight. Returns (video id, score) sorted by
-  /// descending score. Delegates to CandidatesSparse over the histogram's
-  /// non-zero bins, so both entry points run the identical arithmetic.
-  std::vector<std::pair<int64_t, double>> Candidates(
-      const std::vector<double>& query_histogram) const;
-
-  /// Posting-driven form over a sparse query: only the query's non-zero
-  /// bins' posting lists are walked, so videos sharing no sub-community
-  /// with the query are never touched. `query_bins` must be (bin, mass)
-  /// pairs sorted by bin with positive masses. When `min_overlap` is
+  /// query mass and posting weight, walking only the query's non-zero
+  /// bins' posting lists — videos sharing no sub-community with the query
+  /// are never touched. Returns (video id, score) sorted by descending
+  /// score, ties by ascending id. `query_bins` must be (bin, mass) pairs
+  /// sorted by bin with positive masses. When `min_overlap` is
   /// non-null it receives, per touched video, Σ min(query mass, posting
   /// weight) over the shared bins — Equation 6's numerator — accumulated
   /// term-at-a-time in the same single pass, which is what the

@@ -23,7 +23,6 @@
 #include "social/histogram_pool.h"
 #include "social/sar.h"
 #include "social/update_maintainer.h"
-#include "util/thread_pool.h"
 
 // The snapshot format (layout documented in io/snapshot.h and
 // docs/persistence.md). The save/load entry points are members of
@@ -186,14 +185,10 @@ StatusOr<SnapshotInfo> ParseSnapshotLayout(const uint8_t* data, size_t size) {
 }  // namespace
 
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open snapshot: " + path);
-  std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("error reading snapshot: " + path);
-  }
-  return ParseSnapshotLayout(bytes.data(), bytes.size());
+  // Only the header and the frame table are read, so map rather than copy.
+  auto mapped = MappedFile::Open(path);
+  if (!mapped.ok()) return mapped.status();
+  return ParseSnapshotLayout(mapped->data(), mapped->size());
 }
 
 namespace {
@@ -336,14 +331,6 @@ void WriteOptionsPayload(const RecommenderOptions& o, BinaryWriter* w) {
   w->WriteU8(uint8_t(o.content_measure));
   w->WriteU8(o.use_lsb_index ? 1 : 0);
   w->WriteI32(o.lsb_probes);
-  w->WriteU8(o.prune_pairs ? 1 : 0);
-  w->WriteU8(o.prune_candidates ? 1 : 0);
-  w->WriteU8(o.sparse_social ? 1 : 0);
-  w->WriteU8(o.exact_social_by_id ? 1 : 0);
-  w->WriteU8(o.posting_social ? 1 : 0);
-  w->WriteU8(o.pooled_layout ? 1 : 0);
-  w->WriteU8(o.simd_kernels ? 1 : 0);
-  w->WriteU8(o.arena_scratch ? 1 : 0);
   w->WriteU64(o.max_candidates);
   w->WriteI32(o.num_threads);
   w->WriteI32(o.segmenter.keyframe_stride);
@@ -399,22 +386,6 @@ StatusOr<RecommenderOptions> ReadOptionsPayload(BinaryReader* r) {
   o.use_lsb_index = use_lsb != 0;
   VREC_SNAP_READ(probes, r->ReadI32());
   o.lsb_probes = probes;
-  VREC_SNAP_READ(prune_pairs, r->ReadU8());
-  o.prune_pairs = prune_pairs != 0;
-  VREC_SNAP_READ(prune_candidates, r->ReadU8());
-  o.prune_candidates = prune_candidates != 0;
-  VREC_SNAP_READ(sparse_social, r->ReadU8());
-  o.sparse_social = sparse_social != 0;
-  VREC_SNAP_READ(exact_by_id, r->ReadU8());
-  o.exact_social_by_id = exact_by_id != 0;
-  VREC_SNAP_READ(posting_social, r->ReadU8());
-  o.posting_social = posting_social != 0;
-  VREC_SNAP_READ(pooled, r->ReadU8());
-  o.pooled_layout = pooled != 0;
-  VREC_SNAP_READ(simd, r->ReadU8());
-  o.simd_kernels = simd != 0;
-  VREC_SNAP_READ(arena, r->ReadU8());
-  o.arena_scratch = arena != 0;
   VREC_SNAP_READ(max_candidates, r->ReadU64());
   o.max_candidates = size_t(max_candidates);
   VREC_SNAP_READ(threads, r->ReadI32());
@@ -640,7 +611,6 @@ Status Recommender::SaveSnapshot(const std::string& path,
       WriteSeriesBody(r.series, &s.writer);
       s.writer.WriteI64Vector(r.descriptor.users());
       WriteHistogramBody(r.social_vector, &s.writer);
-      s.writer.WriteU32(uint32_t(r.social_dense.size()));
     }
     if (const Status st = s.writer.Finish(); !st.ok()) return st;
     payloads[io::kSectionEngine - 1] = std::move(s.stream).str();
@@ -939,9 +909,6 @@ StatusOr<std::unique_ptr<Recommender>> Recommender::LoadSnapshotFromMemory(
           "snapshot record count exceeds section byte budget");
     }
     rec->records_.reserve(size_t(record_count));
-    const bool naive_names =
-        rec->options_.social_mode == SocialMode::kExact &&
-        !rec->options_.exact_social_by_id;
     for (uint64_t i = 0; i < record_count; ++i) {
       Record record;
       VREC_SNAP_READ(id, r.ReadI64());
@@ -960,7 +927,6 @@ StatusOr<std::unique_ptr<Recommender>> Recommender::LoadSnapshotFromMemory(
       auto histogram = ReadHistogramBody(&r);
       if (!histogram.ok()) return histogram.status();
       record.social_vector = std::move(*histogram);
-      VREC_SNAP_READ(dense_len, r.ReadU32());
       if (record.active) {
         if (rec->index_of_.count(record.id) > 0) {
           return Status::InvalidArgument("snapshot holds duplicate video id");
@@ -970,14 +936,6 @@ StatusOr<std::unique_ptr<Recommender>> Recommender::LoadSnapshotFromMemory(
         for (social::UserId u : record.descriptor.users()) {
           rec->videos_of_user_[u].push_back(slot);
         }
-        if (dense_len > 0) {
-          record.social_dense =
-              social::ToDense(record.social_vector, int(dense_len));
-        }
-        if (naive_names) record.user_names = NamesOf(record.descriptor);
-      } else if (dense_len > 0) {
-        return Status::InvalidArgument(
-            "snapshot tombstone carries a dense social vector");
       }
       rec->records_.push_back(std::move(record));
     }
@@ -1309,16 +1267,7 @@ StatusOr<std::unique_ptr<Recommender>> Recommender::LoadSnapshotFromMemory(
   }
 
   // --- Derived state not worth persisting: rebuilt deterministically. ------
-  if (rec->UsesKappaFastPath() && !rec->options_.pooled_layout) {
-    util::ParallelFor(rec->pool_.get(), rec->records_.size(), [&](size_t i) {
-      if (rec->records_[i].active) {
-        rec->records_[i].prepared =
-            signature::PrepareSeries(rec->records_[i].series);
-      }
-    });
-  }
-  if (rec->options_.social_mode == SocialMode::kExact &&
-      rec->options_.exact_social_by_id) {
+  if (rec->options_.social_mode == SocialMode::kExact) {
     rec->descriptor_sizes_.resize(rec->records_.size());
     for (size_t i = 0; i < rec->records_.size(); ++i) {
       rec->descriptor_sizes_[i] =

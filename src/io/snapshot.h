@@ -43,7 +43,7 @@ namespace vrec::io {
 /// a multiple of kSnapshotAlignment; a mmap-backed load adopts them in
 /// place with no copy or decode.
 inline constexpr uint32_t kSnapshotMagic = 0x504E5356;  // "VSNP" (LE bytes)
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kSnapshotFlagLeFlats = 1u << 0;
 inline constexpr size_t kSnapshotAlignment = 64;
 inline constexpr size_t kSnapshotHeaderBytes = 48;

@@ -99,8 +99,8 @@ class ResultCache {
 /// multi-tenant setups (within one server the recommender is fixed, so the
 /// fingerprint mostly documents *why* the in-process cache may omit the
 /// options from its key). FNV-1a over the scoring-relevant fields only —
-/// exact-by-construction toggles (prune_*, sparse_social, ...) and threading
-/// knobs are deliberately excluded because they cannot alter results.
+/// threading knobs are deliberately excluded because they cannot alter
+/// results.
 [[nodiscard]]
 uint64_t OptionsFingerprint(const core::RecommenderOptions& options);
 

@@ -9,13 +9,13 @@
 
 namespace vrec::signature {
 
-/// Structure-of-arrays storage for every prepared signature of a corpus
-/// (`pooled_layout`). All values / weights / CDFs live in three flat
-/// contiguous arrays, the per-signature moments (mean/min/max) are cached in
-/// the per-signature `PreparedView`s, and every mean is repeated in one
-/// dense array per slot so the batched centroid bound streams sequential
-/// memory. A slot (= record index) resolves to a PreparedSeriesView in O(1)
-/// with no allocation.
+/// Structure-of-arrays storage for every prepared signature of a corpus.
+/// All values / weights / CDFs live in three flat contiguous arrays, the
+/// per-signature moments (mean/min/max) are cached in the per-signature
+/// `PreparedView`s, and every mean is repeated in one dense array per slot
+/// so the batched centroid bound streams sequential memory. A slot
+/// (= record index) resolves to a PreparedSeriesView in O(1) with no
+/// allocation.
 ///
 /// Mutation model mirrors the recommender's: Build() happens in Finalize()
 /// under exclusive access, Release() tombstones a slot on RemoveVideo, and

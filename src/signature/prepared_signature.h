@@ -35,10 +35,9 @@ using PreparedSeries = std::vector<PreparedSignature>;
 
 /// Non-owning view of one prepared signature. The scoring kernels consume
 /// views, so one kernel serves both storage layouts: views over an owned
-/// PreparedSignature (naive layout) and views into a PreparedPool's flat
-/// arrays (`pooled_layout`). Where the data lives cannot change what the
-/// kernel computes, which is what makes the pooled layout bit-for-bit
-/// equivalent by construction.
+/// PreparedSignature (a query, or the naive KappaJ) and views into a
+/// PreparedPool's flat arrays (the recommender's corpus). Where the data
+/// lives cannot change what the kernel computes.
 struct PreparedView {
   const double* values = nullptr;
   const double* weights = nullptr;

@@ -9,12 +9,12 @@ double KappaJ(const SignatureSeries& s1, const SignatureSeries& s2,
   // Reference path: prepare on the fly, evaluate every pair. Shares the
   // EmdPrepared kernel with the fast path so results match bit for bit.
   return KappaJPrepared(PrepareSeries(s1), PrepareSeries(s2), options,
-                        /*prune_pairs=*/false);
+                        /*prune=*/false);
 }
 
 double KappaJPrepared(const PreparedSeriesView& s1,
                       const PreparedSeriesView& s2,
-                      const KappaJOptions& options, bool prune_pairs,
+                      const KappaJOptions& options, bool prune,
                       const double* bounds, KappaJScratch* scratch,
                       KappaJStats* stats) {
   if (s1.empty() || s2.empty()) return 0.0;
@@ -39,7 +39,7 @@ double KappaJPrepared(const PreparedSeriesView& s1,
     const double* bound_row =
         bounds != nullptr ? bounds + i * s2.count : nullptr;
     for (size_t j = 0; j < s2.count; ++j) {
-      if (prune_pairs) {
+      if (prune) {
         const double ub = bound_row != nullptr
                               ? bound_row[j]
                               : SimCUpperBound(s1[i], s2[j]);
@@ -81,12 +81,12 @@ double KappaJPrepared(const PreparedSeriesView& s1,
 }
 
 double KappaJPrepared(const PreparedSeries& s1, const PreparedSeries& s2,
-                      const KappaJOptions& options, bool prune_pairs,
+                      const KappaJOptions& options, bool prune,
                       KappaJScratch* scratch, KappaJStats* stats) {
   SeriesViewStorage st1;
   SeriesViewStorage st2;
   return KappaJPrepared(MakeSeriesView(s1, &st1), MakeSeriesView(s2, &st2),
-                        options, prune_pairs, /*bounds=*/nullptr, scratch,
+                        options, prune, /*bounds=*/nullptr, scratch,
                         stats);
 }
 

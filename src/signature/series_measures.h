@@ -26,9 +26,10 @@ struct KappaJStats {
 /// Reusable buffers for KappaJPrepared / KappaJUpperBound. One scratch per
 /// query amortizes every allocation across all candidates: the first few
 /// candidates grow the buffers, the rest run allocation-free. Constructed
-/// over an arena (`arena_scratch` layer) the buffers bump-allocate from
-/// per-thread memory reclaimed wholesale at query end; with a null arena
-/// they live on the heap — either way the same containers and code paths.
+/// over an arena (the recommender's per-query scratch) the buffers
+/// bump-allocate from per-thread memory reclaimed wholesale at query end;
+/// with a null arena they live on the heap — either way the same
+/// containers and code paths.
 struct KappaJScratch {
   struct Pair {
     double sim;
@@ -67,7 +68,7 @@ double KappaJ(const SignatureSeries& s1, const SignatureSeries& s2,
 
 /// The fast-path form of Equation 4 over prepared series views.
 ///
-/// With prune_pairs on, any pair whose centroid SimC upper bound
+/// With `prune` on, any pair whose centroid SimC upper bound
 /// (SimCUpperBound) sits below match_threshold - kBoundSlack is skipped
 /// without evaluating EMD. Exact: such a pair's true SimC is below the
 /// threshold, so the naive path would have discarded it anyway — the
@@ -87,7 +88,7 @@ double KappaJ(const SignatureSeries& s1, const SignatureSeries& s2,
 double KappaJPrepared(const PreparedSeriesView& s1,
                       const PreparedSeriesView& s2,
                       const KappaJOptions& options = {},
-                      bool prune_pairs = true,
+                      bool prune = true,
                       const double* bounds = nullptr,
                       KappaJScratch* scratch = nullptr,
                       KappaJStats* stats = nullptr);
@@ -97,7 +98,7 @@ double KappaJPrepared(const PreparedSeriesView& s1,
 /// form above).
 double KappaJPrepared(const PreparedSeries& s1, const PreparedSeries& s2,
                       const KappaJOptions& options = {},
-                      bool prune_pairs = true,
+                      bool prune = true,
                       KappaJScratch* scratch = nullptr,
                       KappaJStats* stats = nullptr);
 

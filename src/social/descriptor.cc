@@ -41,22 +41,6 @@ double ExactJaccard(const SocialDescriptor& a, const SocialDescriptor& b) {
   return static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
-double ExactJaccardByNames(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  size_t intersection = 0;
-  for (const std::string& ua : a) {
-    for (const std::string& ub : b) {
-      if (ua == ub) {
-        ++intersection;
-        break;
-      }
-    }
-  }
-  const size_t uni = a.size() + b.size() - intersection;
-  return static_cast<double>(intersection) / static_cast<double>(uni);
-}
-
 double JaccardCardinalityBound(size_t size_a, size_t size_b) {
   const size_t lo = std::min(size_a, size_b);
   if (lo == 0) return 0.0;

@@ -37,16 +37,6 @@ class SocialDescriptor {
 /// efficient sorted-set implementation.
 double ExactJaccard(const SocialDescriptor& a, const SocialDescriptor& b);
 
-/// The *paper's baseline* computation of Equation 5: social descriptors as
-/// raw user-name string sets, intersected by pairwise string comparison —
-/// "the computation complexity of the measure is quadratic to the number of
-/// elements in two compared social descriptors" (Section 4.2.1). This is
-/// the cost that SAR exists to remove; the unoptimized CSF timing curves of
-/// Figure 12(a) are measured against it. Inputs may be unsorted and must be
-/// duplicate-free.
-double ExactJaccardByNames(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b);
-
 /// Upper bound on the Jaccard coefficient from set cardinalities alone:
 /// |A ∩ B| ≤ min(|A|,|B|) and |A ∪ B| ≥ max(|A|,|B|), so
 /// J(A,B) ≤ min(|A|,|B|) / max(|A|,|B|). Returns 0 when either set is

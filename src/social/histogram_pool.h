@@ -9,10 +9,9 @@
 
 namespace vrec::social {
 
-/// Structure-of-arrays scoring mirror for the per-record SparseHistograms
-/// (`pooled_layout`): every histogram's bins and weights live in two flat
-/// parallel arrays; a slot (= record index) resolves to a
-/// SparseHistogramView in O(1). Unlike PreparedPool this is a mirror, not
+/// Structure-of-arrays scoring mirror for the per-record SparseHistograms:
+/// every histogram's bins and weights live in two flat parallel arrays; a
+/// slot (= record index) resolves to a SparseHistogramView in O(1). Unlike PreparedPool this is a mirror, not
 /// the owner — `Record::social_vector` stays authoritative because the
 /// mutation paths (RefreshVideoVector, ApplySocialUpdate) rebuild it —
 /// so the pool supports in-place slot updates: an update appends the new

@@ -27,16 +27,6 @@ void RunLengthEncode(const int* sorted_bins, size_t n,
 
 }  // namespace
 
-std::vector<double> ToDense(const SparseHistogram& histogram, int k) {
-  std::vector<double> dense(static_cast<size_t>(std::max(k, 0)), 0.0);
-  for (const auto& [bin, weight] : histogram.bins) {
-    if (bin >= 0 && static_cast<size_t>(bin) < dense.size()) {
-      dense[static_cast<size_t>(bin)] += weight;
-    }
-  }
-  return dense;
-}
-
 Status CheckSparseHistogram(const SparseHistogram& histogram, int k) {
   double sum = 0.0;
   for (size_t i = 0; i < histogram.bins.size(); ++i) {
@@ -237,18 +227,6 @@ Status UserDictionary::CheckInvariants() const {
   return Status::Ok();
 }
 
-std::vector<double> UserDictionary::Vectorize(
-    const SocialDescriptor& descriptor) const {
-  std::vector<double> hist(static_cast<size_t>(k_), 0.0);
-  for (UserId u : descriptor.users()) {
-    const auto c = CommunityOf(u);
-    if (c.has_value() && *c >= 0 && *c < k_) {
-      hist[static_cast<size_t>(*c)] += 1.0;
-    }
-  }
-  return hist;
-}
-
 SparseHistogram UserDictionary::VectorizeSparse(
     const SocialDescriptor& descriptor) const {
   SparseHistogram out;
@@ -269,18 +247,6 @@ void UserDictionary::VectorizeSparse(const SocialDescriptor& descriptor,
   RunLengthEncode(scratch.data(), scratch.size(), out);
 }
 
-std::vector<double> UserDictionary::VectorizeByName(
-    const std::vector<std::string>& names) const {
-  std::vector<double> hist(static_cast<size_t>(k_), 0.0);
-  for (const std::string& name : names) {
-    const auto c = CommunityOfName(name);
-    if (c.has_value() && *c >= 0 && *c < k_) {
-      hist[static_cast<size_t>(*c)] += 1.0;
-    }
-  }
-  return hist;
-}
-
 SparseHistogram UserDictionary::VectorizeByNameSparse(
     const std::vector<std::string>& names) const {
   std::vector<int> bins;
@@ -293,19 +259,6 @@ SparseHistogram UserDictionary::VectorizeByNameSparse(
   SparseHistogram out;
   RunLengthEncode(bins.data(), bins.size(), &out);
   return out;
-}
-
-double ApproxJaccard(const std::vector<double>& a,
-                     const std::vector<double>& b) {
-  double num = 0.0, den = 0.0;
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    num += std::min(a[i], b[i]);
-    den += std::max(a[i], b[i]);
-  }
-  for (size_t i = n; i < a.size(); ++i) den += a[i];
-  for (size_t i = n; i < b.size(); ++i) den += b[i];
-  return den > 0.0 ? num / den : 0.0;
 }
 
 namespace {
@@ -358,11 +311,6 @@ double ApproxJaccardSparse(const SparseHistogram& a,
 double ApproxJaccardSparse(const SparseHistogram& a,
                            const SparseHistogramView& b) {
   return ApproxJaccardMerge(AosBins{a}, SoaBins{b});
-}
-
-double ApproxJaccardSparse(const SparseHistogramView& a,
-                           const SparseHistogramView& b) {
-  return ApproxJaccardMerge(SoaBins{a}, SoaBins{b});
 }
 
 }  // namespace vrec::social

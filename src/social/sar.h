@@ -21,8 +21,8 @@ namespace vrec::social {
 ///
 /// Invariants: bins strictly ascending, every weight > 0, and `sum` equals
 /// the exact sum of the weights. Weights are whole user counts, which is
-/// what makes the sparse arithmetic below bit-for-bit equal to the dense
-/// path (integer sums commute exactly in double).
+/// what makes the sparse arithmetic below bit-for-bit equal to a dense
+/// k-bin sweep (integer sums commute exactly in double).
 struct SparseHistogram {
   std::vector<std::pair<int, double>> bins;
   double sum = 0.0;
@@ -51,10 +51,6 @@ struct SparseHistogramView {
   bool empty() const { return len == 0; }
   size_t nnz() const { return len; }
 };
-
-/// Expands a sparse histogram back to a dense k-dimensional vector (the
-/// naive/ablation representation). Bins must lie in [0, k).
-std::vector<double> ToDense(const SparseHistogram& histogram, int k);
 
 /// Structural audit of the SparseHistogram invariants (sorted bins, positive
 /// weights, consistent cached sum, bins within [0, k) when k >= 0).
@@ -109,14 +105,10 @@ class UserDictionary {
   /// Renames community `from` to `to` everywhere (merge support).
   void ReplaceCommunity(int from, int to);
 
-  /// Converts a social descriptor into its k-dimensional user histogram by
+  /// Converts a social descriptor into its k-bin user histogram by
   /// dictionary lookup: bin i counts the descriptor's users that fall in
-  /// sub-community i. Unknown users are skipped.
-  std::vector<double> Vectorize(const SocialDescriptor& descriptor) const;
-
-  /// Sparse-output form of Vectorize: same lookups, but the result lists
-  /// only the touched bins (strictly sorted) with the weight sum cached.
-  /// `ToDense(VectorizeSparse(d), k())` equals `Vectorize(d)` exactly.
+  /// sub-community i. Unknown users are skipped. The result lists only the
+  /// touched bins (strictly sorted) with the weight sum cached.
   SparseHistogram VectorizeSparse(const SocialDescriptor& descriptor) const;
 
   /// Scratch-free form for batch vectorization loops: `out` is overwritten
@@ -127,14 +119,9 @@ class UserDictionary {
   void VectorizeSparse(const SocialDescriptor& descriptor,
                        SparseHistogram* out, util::Arena* arena) const;
 
-  /// Like Vectorize but resolves through user *names*, exercising the exact
-  /// lookup path (binary search or chained hash) whose cost Figure 12(a)
-  /// measures.
-  std::vector<double> VectorizeByName(
-      const std::vector<std::string>& names) const;
-
-  /// Sparse-output form of VectorizeByName: identical name lookups (the
-  /// SAR vs SAR-H cost being measured), sparse result.
+  /// Like VectorizeSparse but resolves through user *names*, exercising the
+  /// exact lookup path (binary search or chained hash) whose cost Figure
+  /// 12(a) measures.
   SparseHistogram VectorizeByNameSparse(
       const std::vector<std::string>& names) const;
 
@@ -166,27 +153,21 @@ class UserDictionary {
   hashing::ChainedHashTable hash_table_;  // for kChainedHash
 };
 
-/// Approximate social relevance over descriptor vectors (Equation 6):
-///   sJ~ = sum_i min(dQ_i, dV_i) / sum_i max(dQ_i, dV_i).
-/// Returns 0 when both vectors are all-zero. Vectors must share one size.
-double ApproxJaccard(const std::vector<double>& a,
-                     const std::vector<double>& b);
-
-/// Sparse form of Equation 6: a two-pointer merge over the non-zero bins
-/// computing Σmin, with the denominator derived as `a.sum + b.sum − Σmin`
-/// (valid because all weights are non-negative, so
-/// Σmax = Σa + Σb − Σmin). O(nnz_a + nnz_b) instead of O(k), and
-/// bit-for-bit equal to the dense ApproxJaccard for whole-number weights:
+/// Approximate social relevance (Equation 6) over sparse histograms:
+///   sJ~ = Σ_i min(dQ_i, dV_i) / Σ_i max(dQ_i, dV_i),
+/// as a two-pointer merge over the non-zero bins computing Σmin, with the
+/// denominator derived as `a.sum + b.sum − Σmin` (valid because all weights
+/// are non-negative, so Σmax = Σa + Σb − Σmin). O(nnz_a + nnz_b) instead of
+/// O(k), and bit-for-bit equal to the dense sweep for whole-number weights:
 /// the Σmin terms are the identical doubles in the identical order, and
 /// integer-valued sums below 2^53 are exact under either association.
+/// Returns 0 when both histograms are empty.
 double ApproxJaccardSparse(const SparseHistogram& a, const SparseHistogram& b);
 
-/// View forms of the sparse merge (`pooled_layout`): identical comparisons
-/// and additions in identical order via one shared template core, so the
-/// result is bit-for-bit the vector-of-pairs overload's.
+/// View form of the sparse merge (histograms stored in a HistogramPool):
+/// identical comparisons and additions in identical order via one shared
+/// template core, so the result is bit-for-bit the pair overload's.
 double ApproxJaccardSparse(const SparseHistogram& a,
-                           const SparseHistogramView& b);
-double ApproxJaccardSparse(const SparseHistogramView& a,
                            const SparseHistogramView& b);
 
 }  // namespace vrec::social

@@ -101,9 +101,9 @@ class Arena {
 
 /// std::allocator adapter. With a non-null arena, allocations bump-allocate
 /// and deallocate is a no-op (memory returns on Arena::Reset). With a null
-/// arena it degrades to the global heap, so one container type serves both
-/// the `arena_scratch` ablation states — the allocation strategy can never
-/// change computed values, only where the bytes live.
+/// arena it degrades to the global heap, so one container type serves
+/// arena-backed query scratch and plain heap callers alike — the allocation
+/// strategy can never change computed values, only where the bytes live.
 template <typename T>
 class ArenaAllocator {
  public:

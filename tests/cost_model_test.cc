@@ -50,7 +50,7 @@ TEST(CostModelTest, VectorizationComparisonsLinearInDescriptorSize) {
       names.push_back(social::UserName(static_cast<social::UserId>(u)));
     }
     const uint64_t before = dict.hash_comparisons();
-    dict.VectorizeByName(names);
+    dict.VectorizeByNameSparse(names);
     return dict.hash_comparisons() - before;
   };
 

@@ -96,11 +96,12 @@ TEST(EdgeCaseTest, TimingDecompositionIsConsistent) {
 TEST(EdgeCaseTest, DictionaryUnknownNamesSkipped) {
   social::UserDictionary dict({0, 1, 0}, 2,
                               social::DictionaryLookup::kChainedHash);
-  const auto hist = dict.VectorizeByName(
+  const auto hist = dict.VectorizeByNameSparse(
       {"user_0", "stranger", "user_2", "also_unknown"});
-  ASSERT_EQ(hist.size(), 2u);
-  EXPECT_DOUBLE_EQ(hist[0], 2.0);  // user_0, user_2
-  EXPECT_DOUBLE_EQ(hist[1], 0.0);
+  ASSERT_EQ(hist.nnz(), 1u);
+  EXPECT_EQ(hist.bins[0].first, 0);
+  EXPECT_DOUBLE_EQ(hist.bins[0].second, 2.0);  // user_0, user_2
+  EXPECT_DOUBLE_EQ(hist.sum, 2.0);
 }
 
 TEST(EdgeCaseTest, KappaJWithManyCuboidSignatures) {

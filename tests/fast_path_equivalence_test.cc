@@ -1,124 +1,40 @@
-// Bit-for-bit equivalence of the content-scoring fast path: with pair
-// pruning and threshold-based top-K refinement enabled, every query must
-// return exactly the results of the pruning-free full scan — same ids, same
-// order, same scores and tie-breaks, bit for bit. The sweeps cover all
-// fusion rules, all social modes, indexed and exhaustive content retrieval,
-// and boundary match_threshold / omega settings.
+// Bit-for-bit equivalence of the content-scoring path: with pair pruning,
+// threshold-based top-K refinement, pooled prepared signatures and batched
+// bound kernels, every query must return exactly what the reference
+// oracle's unpruned full scan returns — same ids, same order, same scores
+// and tie-breaks, bit for bit. The sweeps cover all fusion rules, all
+// social modes, indexed and exhaustive content retrieval, and boundary
+// match_threshold / omega settings.
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "core/recommender.h"
+#include "oracle_harness.h"
 #include "util/random.h"
 
 namespace vrec::core {
 namespace {
 
-using signature::Cuboid;
-using signature::CuboidSignature;
-using signature::SignatureSeries;
-using social::SocialDescriptor;
-
-struct CorpusEntry {
-  video::VideoId id;
-  SignatureSeries series;
-  SocialDescriptor descriptor;
-};
-
-CuboidSignature RandomSignature(Rng* rng) {
-  const int n = static_cast<int>(rng->UniformInt(1, 5));
-  CuboidSignature sig;
-  double total = 0.0;
-  for (int i = 0; i < n; ++i) {
-    Cuboid c;
-    // A coarse value grid makes cross-video matches (and score ties) common,
-    // which is exactly where pruning mistakes would surface.
-    c.value = 5.0 * static_cast<double>(rng->UniformInt(-8, 8));
-    c.weight = rng->Uniform(0.1, 1.0);
-    total += c.weight;
-    sig.push_back(c);
-  }
-  for (Cuboid& c : sig) c.weight /= total;
-  return sig;
-}
-
-std::vector<CorpusEntry> RandomCorpus(Rng* rng, int videos, int users) {
-  std::vector<CorpusEntry> corpus;
-  corpus.reserve(static_cast<size_t>(videos));
-  for (int v = 0; v < videos; ++v) {
-    CorpusEntry entry;
-    entry.id = v;
-    const int segments = static_cast<int>(rng->UniformInt(1, 4));
-    for (int s = 0; s < segments; ++s) {
-      entry.series.push_back(RandomSignature(rng));
-    }
-    const int fans = static_cast<int>(rng->UniformInt(1, 4));
-    for (int f = 0; f < fans; ++f) {
-      const auto u =
-          static_cast<social::UserId>(rng->UniformInt(0, users - 1));
-      if (!entry.descriptor.Contains(u)) entry.descriptor.Add(u);
-    }
-    corpus.push_back(std::move(entry));
-  }
-  return corpus;
-}
-
-std::unique_ptr<Recommender> BuildFrom(
-    const std::vector<CorpusEntry>& corpus, int users,
-    RecommenderOptions options) {
-  options.num_threads = 1;
-  auto rec = std::make_unique<Recommender>(std::move(options));
-  for (const CorpusEntry& e : corpus) {
-    EXPECT_TRUE(rec->AddVideoRecord(e.id, e.series, e.descriptor).ok());
-  }
-  EXPECT_TRUE(rec->Finalize(static_cast<size_t>(users)).ok());
-  return rec;
-}
-
-// Runs every video as a query against both instances and demands bitwise
-// agreement. `counters` (optional) accumulates the fast instance's prune
-// counters so callers can assert the bounds actually fired.
-void ExpectEquivalent(const Recommender& fast, const Recommender& naive,
-                      const std::vector<CorpusEntry>& corpus, int k,
-                      QueryTiming* counters = nullptr) {
-  for (const CorpusEntry& e : corpus) {
-    QueryTiming fast_timing;
-    QueryTiming naive_timing;
-    const auto got = fast.RecommendById(e.id, k, &fast_timing);
-    const auto want = naive.RecommendById(e.id, k, &naive_timing);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_EQ(got->size(), want->size()) << "query " << e.id;
-    for (size_t i = 0; i < got->size(); ++i) {
-      EXPECT_EQ((*got)[i].id, (*want)[i].id)
-          << "query " << e.id << " rank " << i;
-      EXPECT_EQ((*got)[i].score, (*want)[i].score)
-          << "query " << e.id << " rank " << i;
-      EXPECT_EQ((*got)[i].content, (*want)[i].content)
-          << "query " << e.id << " rank " << i;
-      EXPECT_EQ((*got)[i].social, (*want)[i].social)
-          << "query " << e.id << " rank " << i;
-    }
-    // The naive instance must never report prune work.
-    EXPECT_EQ(naive_timing.pairs_pruned, 0u);
-    EXPECT_EQ(naive_timing.candidates_pruned, 0u);
-    if (counters != nullptr) {
-      counters->emd_calls += fast_timing.emd_calls;
-      counters->pairs_pruned += fast_timing.pairs_pruned;
-      counters->candidates_pruned += fast_timing.candidates_pruned;
-      counters->pool_bytes_streamed += fast_timing.pool_bytes_streamed;
-      counters->bound_batches += fast_timing.bound_batches;
-    }
-  }
-}
+using oracle_test::BuildEngine;
+using oracle_test::BuildOracle;
+using oracle_test::ExpectMatchesOracle;
+using oracle_test::IdsOf;
+using oracle_test::RandomCorpus;
 
 RecommenderOptions BaseOptions() {
   RecommenderOptions options;
   options.social_mode = SocialMode::kSarHash;
   options.k_subcommunities = 4;
   return options;
+}
+
+void ExpectAgrees(const std::vector<oracle_test::CorpusEntry>& corpus,
+                  int users, const RecommenderOptions& options, int k,
+                  QueryTiming* counters = nullptr) {
+  const auto engine = BuildEngine(corpus, users, options);
+  const auto oracle = BuildOracle(corpus, users, options);
+  ExpectMatchesOracle(*engine, *oracle, IdsOf(corpus), k, counters);
 }
 
 TEST(FastPathEquivalenceTest, AllFusionRules) {
@@ -128,12 +44,7 @@ TEST(FastPathEquivalenceTest, AllFusionRules) {
        {FusionRule::kWeighted, FusionRule::kAverage, FusionRule::kMax}) {
     RecommenderOptions options = BaseOptions();
     options.fusion_rule = rule;
-    RecommenderOptions off = options;
-    off.prune_pairs = false;
-    off.prune_candidates = false;
-    const auto fast = BuildFrom(corpus, 16, options);
-    const auto naive = BuildFrom(corpus, 16, off);
-    ExpectEquivalent(*fast, *naive, corpus, 8);
+    ExpectAgrees(corpus, 16, options, 8);
   }
 }
 
@@ -144,33 +55,26 @@ TEST(FastPathEquivalenceTest, AllSocialModes) {
                                 SocialMode::kSar, SocialMode::kSarHash}) {
     RecommenderOptions options = BaseOptions();
     options.social_mode = mode;
-    RecommenderOptions off = options;
-    off.prune_pairs = false;
-    off.prune_candidates = false;
-    const auto fast = BuildFrom(corpus, 16, options);
-    const auto naive = BuildFrom(corpus, 16, off);
-    ExpectEquivalent(*fast, *naive, corpus, 8);
+    ExpectAgrees(corpus, 16, options, 8);
   }
 }
 
 TEST(FastPathEquivalenceTest, ExhaustiveContentModePrunesAndAgrees) {
   // use_lsb_index = false scans the whole corpus per query — the mode the
-  // refinement bound targets. The bounds must fire (nonzero counters) and
-  // change nothing.
+  // refinement bound targets. The bounds must fire (nonzero counters), the
+  // pooled views and batched bound matrices must be in use, and none of it
+  // may change a result.
   Rng rng(47);
   const auto corpus = RandomCorpus(&rng, 60, 16);
   RecommenderOptions options = BaseOptions();
   options.use_lsb_index = false;
-  RecommenderOptions off = options;
-  off.prune_pairs = false;
-  off.prune_candidates = false;
-  const auto fast = BuildFrom(corpus, 16, options);
-  const auto naive = BuildFrom(corpus, 16, off);
   QueryTiming counters;
-  ExpectEquivalent(*fast, *naive, corpus, 5, &counters);
+  ExpectAgrees(corpus, 16, options, 5, &counters);
   EXPECT_GT(counters.pairs_pruned, 0u);
   EXPECT_GT(counters.candidates_pruned, 0u);
   EXPECT_GT(counters.emd_calls, 0u);
+  EXPECT_GT(counters.pool_bytes_streamed, 0u);
+  EXPECT_GT(counters.bound_batches, 0u);
 }
 
 TEST(FastPathEquivalenceTest, BoundaryThresholdsAndOmegas) {
@@ -183,71 +87,8 @@ TEST(FastPathEquivalenceTest, BoundaryThresholdsAndOmegas) {
       RecommenderOptions options = BaseOptions();
       options.kappa.match_threshold = threshold;
       options.omega = omega;
-      RecommenderOptions off = options;
-      off.prune_pairs = false;
-      off.prune_candidates = false;
-      const auto fast = BuildFrom(corpus, 12, options);
-      const auto naive = BuildFrom(corpus, 12, off);
-      ExpectEquivalent(*fast, *naive, corpus, 6);
+      ExpectAgrees(corpus, 12, options, 6);
     }
-  }
-}
-
-TEST(FastPathEquivalenceTest, EachPruneLayerAloneAgrees) {
-  Rng rng(59);
-  const auto corpus = RandomCorpus(&rng, 30, 12);
-  RecommenderOptions off = BaseOptions();
-  off.prune_pairs = false;
-  off.prune_candidates = false;
-  const auto naive = BuildFrom(corpus, 12, off);
-  {
-    RecommenderOptions pairs_only = BaseOptions();
-    pairs_only.prune_candidates = false;
-    const auto fast = BuildFrom(corpus, 12, pairs_only);
-    QueryTiming counters;
-    ExpectEquivalent(*fast, *naive, corpus, 6, &counters);
-    EXPECT_EQ(counters.candidates_pruned, 0u);
-  }
-  {
-    RecommenderOptions candidates_only = BaseOptions();
-    candidates_only.prune_pairs = false;
-    const auto fast = BuildFrom(corpus, 12, candidates_only);
-    QueryTiming counters;
-    ExpectEquivalent(*fast, *naive, corpus, 6, &counters);
-    EXPECT_EQ(counters.pairs_pruned, 0u);
-  }
-}
-
-TEST(FastPathEquivalenceTest, DataLayoutAblationAgrees) {
-  // All 8 combinations of the data-layout layers (SoA pools, batched bound
-  // kernels, arena scratch) against the everything-off oracle, in the
-  // exhaustive content mode where the bound matrix does real work. The
-  // layers change memory layout and batching only, so every combination
-  // must be bit-identical — and the layout counters must fire exactly on
-  // the combinations that enable the corresponding layer.
-  Rng rng(67);
-  const auto corpus = RandomCorpus(&rng, 50, 16);
-  RecommenderOptions oracle_options = BaseOptions();
-  oracle_options.use_lsb_index = false;
-  oracle_options.prune_pairs = false;
-  oracle_options.prune_candidates = false;
-  oracle_options.pooled_layout = false;
-  oracle_options.simd_kernels = false;
-  oracle_options.arena_scratch = false;
-  const auto oracle = BuildFrom(corpus, 16, oracle_options);
-  for (int mask = 0; mask < 8; ++mask) {
-    RecommenderOptions options = BaseOptions();
-    options.use_lsb_index = false;
-    options.pooled_layout = (mask & 1) != 0;
-    options.simd_kernels = (mask & 2) != 0;
-    options.arena_scratch = (mask & 4) != 0;
-    const auto fast = BuildFrom(corpus, 16, options);
-    QueryTiming counters;
-    ExpectEquivalent(*fast, *oracle, corpus, 6, &counters);
-    EXPECT_EQ(counters.pool_bytes_streamed > 0, options.pooled_layout)
-        << "mask " << mask;
-    EXPECT_EQ(counters.bound_batches > 0, options.simd_kernels)
-        << "mask " << mask;
   }
 }
 
@@ -256,9 +97,8 @@ TEST(FastPathEquivalenceTest, BatchMatchesSerial) {
   // fast path stays deterministic under the batch engine.
   Rng rng(61);
   const auto corpus = RandomCorpus(&rng, 25, 12);
-  const auto rec = BuildFrom(corpus, 12, BaseOptions());
-  std::vector<video::VideoId> ids;
-  for (const CorpusEntry& e : corpus) ids.push_back(e.id);
+  const auto rec = BuildEngine(corpus, 12, BaseOptions());
+  const std::vector<video::VideoId> ids = IdsOf(corpus);
   const auto batch = rec->RecommendBatchByIds(ids, 6);
   ASSERT_EQ(batch.size(), ids.size());
   for (size_t q = 0; q < ids.size(); ++q) {

@@ -75,24 +75,5 @@ TEST_F(FusionRuleTest, MaxRetainsHigherChannel) {
   EXPECT_NEAR((*results)[1].score, 1.0, 1e-9);
 }
 
-TEST(ExactJaccardByNamesTest, MatchesSortedSetImplementation) {
-  const social::SocialDescriptor a({1, 2, 3, 4});
-  const social::SocialDescriptor b({3, 4, 5});
-  std::vector<std::string> na, nb;
-  for (auto u : a.users()) na.push_back(social::UserName(u));
-  for (auto u : b.users()) nb.push_back(social::UserName(u));
-  EXPECT_DOUBLE_EQ(social::ExactJaccardByNames(na, nb),
-                   social::ExactJaccard(a, b));
-}
-
-TEST(ExactJaccardByNamesTest, EmptyAndUnsortedInputs) {
-  EXPECT_DOUBLE_EQ(social::ExactJaccardByNames({}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(social::ExactJaccardByNames({"x"}, {}), 0.0);
-  // Unsorted inputs work (the paper's raw name sets are unsorted).
-  EXPECT_DOUBLE_EQ(
-      social::ExactJaccardByNames({"c", "a"}, {"a", "b", "c"}),
-      2.0 / 3.0);
-}
-
 }  // namespace
 }  // namespace vrec::core

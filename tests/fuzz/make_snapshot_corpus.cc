@@ -1,8 +1,8 @@
 // Seed-corpus generator for fuzz_snapshot (built only under
 // -DVREC_FUZZ=ON). Writes one valid snapshot per engine configuration
-// into the directory given as argv[1]: the full CSF+SAR-hash engine, the
-// content-only (CR) mode whose dictionary/maintainer sections are empty,
-// and a pools-off layout whose flat sections are zero bytes. Starting from
+// into the directory given as argv[1]: the full CSF+SAR-hash engine and
+// the content-only (CR) mode whose dictionary/maintainer sections and
+// histogram flats are empty. Starting from
 // valid files lets coverage-guided mutation reach the per-section decoders
 // instead of rediscovering the magic, header checksum, and 14-frame table
 // from zero.
@@ -66,12 +66,9 @@ int main(int argc, char** argv) {
   vrec::core::RecommenderOptions full;  // CSF + SAR-hash, pools, LSB
   vrec::core::RecommenderOptions content_only;
   content_only.social_mode = vrec::core::SocialMode::kNone;
-  vrec::core::RecommenderOptions pools_off;
-  pools_off.pooled_layout = false;
 
   if (!WriteSeed(dataset, full, dir + "/seed-full.vsnp") ||
-      !WriteSeed(dataset, content_only, dir + "/seed-content-only.vsnp") ||
-      !WriteSeed(dataset, pools_off, dir + "/seed-pools-off.vsnp")) {
+      !WriteSeed(dataset, content_only, dir + "/seed-content-only.vsnp")) {
     return 1;
   }
   std::printf("snapshot seed corpus written to %s\n", dir.c_str());

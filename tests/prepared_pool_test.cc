@@ -1,9 +1,9 @@
-// SoA pool tests: the pooled layout (`pooled_layout`) must be a pure
-// storage change. Every view served by signature::PreparedPool and
-// social::HistogramPool has to be bit-for-bit the view over the owned
-// per-record object it was built from — across empty slots, releases,
-// in-place updates, and the compactions those trigger — because the
-// scoring kernels consume views and cannot tell the layouts apart.
+// SoA pool tests: the pooled layout must be a pure storage change. Every
+// view served by signature::PreparedPool and social::HistogramPool has to
+// be bit-for-bit the view over the owned per-record object it was built
+// from — across empty slots, releases, in-place updates, and the
+// compactions those trigger — because the scoring kernels consume views
+// and cannot tell the layouts apart.
 
 #include <cstdint>
 #include <vector>

@@ -178,8 +178,8 @@ TEST_P(SarErrorSweep, ErrorShrinksWithK) {
     for (size_t a = 0; a < descriptors.size(); ++a) {
       for (size_t b = a + 1; b < descriptors.size(); ++b) {
         err += std::abs(
-            social::ApproxJaccard(dict.Vectorize(descriptors[a]),
-                                  dict.Vectorize(descriptors[b])) -
+            social::ApproxJaccardSparse(dict.VectorizeSparse(descriptors[a]),
+                                        dict.VectorizeSparse(descriptors[b])) -
             social::ExactJaccard(descriptors[a], descriptors[b]));
         ++n;
       }

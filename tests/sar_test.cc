@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference/kernels.h"
 #include "social/sar.h"
 #include "util/random.h"
 
@@ -29,7 +30,7 @@ TEST(UserDictionaryTest, VectorizeCountsPerCommunity) {
   const std::vector<int> labels = {0, 0, 1, 2, 2, 2};
   UserDictionary dict(labels, 3, DictionaryLookup::kChainedHash);
   const SocialDescriptor d({0, 1, 3, 4, 5});
-  const auto v = dict.Vectorize(d);
+  const auto v = reference::Vectorize(dict, d);
   ASSERT_EQ(v.size(), 3u);
   EXPECT_DOUBLE_EQ(v[0], 2.0);
   EXPECT_DOUBLE_EQ(v[1], 0.0);
@@ -39,7 +40,7 @@ TEST(UserDictionaryTest, VectorizeCountsPerCommunity) {
 TEST(UserDictionaryTest, VectorizeSkipsUnknownUsers) {
   UserDictionary dict({0, 1}, 2, DictionaryLookup::kSortedArray);
   const SocialDescriptor d({0, 1, 50});
-  const auto v = dict.Vectorize(d);
+  const auto v = reference::Vectorize(dict, d);
   EXPECT_DOUBLE_EQ(v[0] + v[1], 2.0);
 }
 
@@ -52,7 +53,8 @@ TEST(UserDictionaryTest, VectorizeByNameMatchesById) {
     const SocialDescriptor d({0, 2, 3});
     std::vector<std::string> names;
     for (UserId u : d.users()) names.push_back(UserName(u));
-    EXPECT_EQ(dict.Vectorize(d), dict.VectorizeByName(names));
+    EXPECT_EQ(reference::Vectorize(dict, d),
+              reference::VectorizeByName(dict, names));
   }
 }
 
@@ -93,90 +95,6 @@ TEST(UserDictionaryTest, ReplaceCommunityRelabels) {
   }
 }
 
-TEST(ApproxJaccardTest, EquationSix) {
-  // min-sum / max-sum of the histograms.
-  const std::vector<double> a = {2.0, 0.0, 3.0};
-  const std::vector<double> b = {1.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(ApproxJaccard(a, b), (1.0 + 0.0 + 3.0) / (2.0 + 1.0 + 3.0));
-}
-
-TEST(ApproxJaccardTest, IdenticalVectorsScoreOne) {
-  const std::vector<double> a = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(ApproxJaccard(a, a), 1.0);
-}
-
-TEST(ApproxJaccardTest, ZeroVectorsScoreZero) {
-  EXPECT_DOUBLE_EQ(ApproxJaccard({0.0, 0.0}, {0.0, 0.0}), 0.0);
-  EXPECT_DOUBLE_EQ(ApproxJaccard({}, {}), 0.0);
-}
-
-TEST(ApproxJaccardTest, MismatchedLengthsTreatTailAsZero) {
-  const std::vector<double> a = {1.0};
-  const std::vector<double> b = {1.0, 4.0};
-  EXPECT_DOUBLE_EQ(ApproxJaccard(a, b), 1.0 / 5.0);
-  EXPECT_DOUBLE_EQ(ApproxJaccard(b, a), 1.0 / 5.0);
-}
-
-TEST(ApproxJaccardTest, EqualsExactJaccardWhenCommunitiesAreSingletons) {
-  // With one community per user, the histogram is the indicator vector and
-  // Equation 6 degenerates to Equation 5 exactly.
-  const std::vector<int> labels = {0, 1, 2, 3, 4, 5};
-  UserDictionary dict(labels, 6, DictionaryLookup::kSortedArray);
-  const SocialDescriptor a({0, 1, 2, 3});
-  const SocialDescriptor b({2, 3, 4, 5});
-  EXPECT_DOUBLE_EQ(ApproxJaccard(dict.Vectorize(a), dict.Vectorize(b)),
-                   ExactJaccard(a, b));
-}
-
-TEST(ApproxJaccardTest, UpperBoundsExactJaccardOnCoarsening) {
-  // Property: merging users into sub-communities can only make descriptors
-  // look more alike (mass in the same bin matches regardless of identity),
-  // so sJ~ >= sJ on random instances.
-  Rng rng(401);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int users = 30;
-    const int k = static_cast<int>(rng.UniformInt(2, 8));
-    std::vector<int> labels(users);
-    for (int& l : labels) l = static_cast<int>(rng.UniformInt(0, k - 1));
-    UserDictionary dict(labels, k, DictionaryLookup::kSortedArray);
-
-    std::vector<UserId> ua, ub;
-    for (int u = 0; u < users; ++u) {
-      if (rng.Bernoulli(0.4)) ua.push_back(u);
-      if (rng.Bernoulli(0.4)) ub.push_back(u);
-    }
-    if (ua.empty() || ub.empty()) continue;
-    const SocialDescriptor da(ua), db(ub);
-    EXPECT_GE(ApproxJaccard(dict.Vectorize(da), dict.Vectorize(db)) + 1e-12,
-              ExactJaccard(da, db))
-        << "trial " << trial;
-  }
-}
-
-TEST(ApproxJaccardTest, ApproximationTightensWithMoreCommunities) {
-  // The paper's Figure 9 rationale: larger k -> finer histograms -> less
-  // information loss. With k == #users the approximation is exact.
-  Rng rng(409);
-  const int users = 40;
-  std::vector<UserId> ua, ub;
-  for (int u = 0; u < users; ++u) {
-    if (rng.Bernoulli(0.5)) ua.push_back(u);
-    if (rng.Bernoulli(0.5)) ub.push_back(u);
-  }
-  const SocialDescriptor da(ua), db(ub);
-  const double exact = ExactJaccard(da, db);
-
-  auto error_for_k = [&](int k) {
-    std::vector<int> labels(users);
-    for (int u = 0; u < users; ++u) labels[static_cast<size_t>(u)] = u % k;
-    UserDictionary dict(labels, k, DictionaryLookup::kSortedArray);
-    return std::abs(ApproxJaccard(dict.Vectorize(da), dict.Vectorize(db)) -
-                    exact);
-  };
-  EXPECT_LE(error_for_k(40), 1e-12);          // k == users: exact
-  EXPECT_LE(error_for_k(20), error_for_k(2) + 1e-12);
-}
-
 TEST(SparseHistogramTest, VectorizeSparseMatchesDense) {
   const std::vector<int> labels = {0, 0, 1, 2, 2, 2};
   UserDictionary dict(labels, 4, DictionaryLookup::kChainedHash);
@@ -188,7 +106,8 @@ TEST(SparseHistogramTest, VectorizeSparseMatchesDense) {
   EXPECT_EQ(sparse.bins[0], (std::pair<int, double>{0, 2.0}));
   EXPECT_EQ(sparse.bins[1], (std::pair<int, double>{2, 3.0}));
   EXPECT_DOUBLE_EQ(sparse.sum, 5.0);
-  EXPECT_EQ(ToDense(sparse, dict.k()), dict.Vectorize(d));
+  EXPECT_EQ(reference::ToDense(sparse, dict.k()),
+            reference::Vectorize(dict, d));
 }
 
 TEST(SparseHistogramTest, ArenaOverloadMatchesHeapAndOverwrites) {
@@ -240,7 +159,8 @@ TEST(SparseHistogramTest, ApproxJaccardSparseMatchesDense) {
     const SocialDescriptor da(ua), db(ub);
     EXPECT_EQ(ApproxJaccardSparse(dict.VectorizeSparse(da),
                                   dict.VectorizeSparse(db)),
-              ApproxJaccard(dict.Vectorize(da), dict.Vectorize(db)))
+              reference::ApproxJaccard(reference::Vectorize(dict, da),
+                                       reference::Vectorize(dict, db)))
         << "trial " << trial;
   }
 }

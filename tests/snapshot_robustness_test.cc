@@ -208,6 +208,35 @@ TEST_F(SnapshotRobustnessTest, WrongMagicAndFutureVersionFailCleanly) {
   }
 }
 
+TEST_F(SnapshotRobustnessTest, VersionOneFilesAreRejectedByVersion) {
+  // A file in the previous format version must be refused by its version
+  // number, with a message naming both versions, before any section is
+  // read.
+  std::vector<uint8_t> v1 = good_;
+  v1[4] = 1;
+  v1[5] = v1[6] = v1[7] = 0;
+  const uint32_t checksum = Fnv1a32(v1.data(), 44);
+  for (int i = 0; i < 4; ++i) {
+    v1[44 + i] = static_cast<uint8_t>((checksum >> (8 * i)) & 0xFF);
+  }
+  const std::string expected =
+      "unsupported snapshot version 1 (this build reads version " +
+      std::to_string(kSnapshotVersion) + ")";
+  const auto via_buffer =
+      Recommender::LoadSnapshotFromBuffer(v1.data(), v1.size());
+  ASSERT_FALSE(via_buffer.ok());
+  EXPECT_EQ(via_buffer.status().message(), expected);
+  const std::string path = TempPath("version1.vsnp");
+  WriteAll(path, v1);
+  const auto via_file = Recommender::LoadSnapshot(path);
+  ASSERT_FALSE(via_file.ok());
+  EXPECT_EQ(via_file.status().message(), expected);
+  const auto info = InspectSnapshot(path);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().message(), expected);
+  std::remove(path.c_str());
+}
+
 TEST_F(SnapshotRobustnessTest, ForgedSectionLengthsFailCleanly) {
   // Inflate / deflate a section's declared payload length (and re-seal
   // nothing else): the byte-budget and exact-end checks must catch every
@@ -328,7 +357,20 @@ TEST_F(SnapshotRobustnessTest, InspectRejectsMalformedFilesCleanly) {
     WriteAll(bad_path, std::vector<uint8_t>(good_.begin(), good_.begin() + 12));
     EXPECT_FALSE(InspectSnapshot(bad_path).ok());
   }
-  EXPECT_FALSE(InspectSnapshot(TempPath("no_such_file.vsnp")).ok());
+  {
+    // Payload damage is the loader's business: Inspect reads only the
+    // header and the frame table, so a corrupted payload stays inspectable.
+    std::vector<uint8_t> bad = good_;
+    const SnapshotSectionInfo& s = layout_.sections[kSectionEngine - 1];
+    bad[s.payload_offset] ^= 0x01;
+    WriteAll(bad_path, bad);
+    const auto info = InspectSnapshot(bad_path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->sections.size(), layout_.sections.size());
+  }
+  const auto missing = InspectSnapshot(TempPath("no_such_file.vsnp"));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
   std::remove(bad_path.c_str());
 }
 

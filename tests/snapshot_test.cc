@@ -1,7 +1,9 @@
 // Snapshot round-trip equivalence: a LoadSnapshot()ed engine must be
 // indistinguishable — bit for bit — from the engine that saved it, across
-// every social mode, fusion rule and ablation flag, through post-load
-// mutations, through the serving stack, and across a sharded fleet. Also
+// every social mode and fusion rule, through post-load mutations, through
+// the serving stack, and across a sharded fleet (the content
+// configurations — exhaustive, SR, DTW — round-trip in
+// oracle_differential_test.cc, checked against the reference oracle). Also
 // locks the result-cache staleness contract: the persisted generation
 // survives the reload (a loaded engine must NOT reset to generation 0, or
 // a by-id cache stamped before a restart would serve stale results).
@@ -167,60 +169,14 @@ TEST(SnapshotTest, RoundTripMatchesAcrossFusionRules) {
   }
 }
 
-TEST(SnapshotTest, RoundTripMatchesAcrossAblationFlags) {
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.pooled_layout = false;  // per-record heap vectors, empty pools
-    ExpectRoundTrip(options, "pools_off");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.sparse_social = false;  // dense social vectors round-trip
-    ExpectRoundTrip(options, "dense_social");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kExact);
-    options.exact_social_by_id = false;  // user_names rebuilt at load
-    ExpectRoundTrip(options, "exact_names");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.posting_social = false;
-    ExpectRoundTrip(options, "posting_off");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.use_lsb_index = false;  // no LSB section payload
-    ExpectRoundTrip(options, "lsb_off");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSar);
-    options.use_content = false;  // SR: no prepared/LSB state at all
-    ExpectRoundTrip(options, "content_off");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.simd_kernels = false;
-    options.arena_scratch = false;
-    options.prune_pairs = false;
-    options.prune_candidates = false;
-    ExpectRoundTrip(options, "kernels_off");
-  }
-  {
-    auto options = BaseOptions(SocialMode::kSarHash);
-    options.content_measure = core::ContentMeasure::kDtw;  // naive content
-    ExpectRoundTrip(options, "dtw");
-  }
-}
-
 TEST(SnapshotTest, MappedLoadAdoptsFlatPoolsZeroCopy) {
   const auto original = Build(BaseOptions(SocialMode::kSarHash));
   const std::string path = TempPath("zerocopy.vsnp");
   ASSERT_TRUE(original->SaveSnapshot(path).ok());
   const auto loaded = Recommender::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Under pooled_layout the prepared + histogram flats are non-empty and
-  // the mapped load must adopt them in place rather than copying.
+  // The prepared + histogram flats are non-empty and the mapped load must
+  // adopt them in place rather than copying.
   EXPECT_GT((*loaded)->snapshot_bytes_mapped(), 0u);
   std::remove(path.c_str());
 }

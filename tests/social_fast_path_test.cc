@@ -1,139 +1,34 @@
-// Bit-for-bit equivalence of the social-path fast layers: sparse SAR
-// histograms, the id-keyed exact Jaccard with cardinality-bound pruning,
-// and posting-driven Σmin accumulation must each return exactly what the
-// dense / name-keyed / pairwise baselines return — same ids, same order,
-// same scores and tie-breaks, bit for bit. Sweeps cover all social modes,
-// fusion rules and omegas, each layer ablated alone, empty and unknown-user
-// query descriptors, and re-vectorization after ApplySocialUpdate().
+// Bit-for-bit equivalence of the social path: sparse SAR histograms in a
+// pooled mirror, posting-driven Σmin scoring, and the id-keyed exact
+// Jaccard with cardinality-bound pruning must each return exactly what the
+// reference oracle's dense / name-keyed computations return — same ids,
+// same order, same scores and tie-breaks, bit for bit. Sweeps cover all
+// social modes, fusion rules and omegas, empty and unknown-user query
+// descriptors, and re-vectorization after ApplySocialUpdate(); the
+// shortcut counters must fire where the corpus gives them work.
 
-#include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "core/recommender.h"
+#include "oracle_harness.h"
+#include "reference/kernels.h"
 #include "social/sar.h"
 #include "util/random.h"
 
 namespace vrec::core {
 namespace {
 
-using signature::Cuboid;
-using signature::CuboidSignature;
-using signature::SignatureSeries;
+using oracle_test::BuildEngine;
+using oracle_test::BuildOracle;
+using oracle_test::CorpusEntry;
+using oracle_test::ExpectMatchesOracle;
+using oracle_test::ExpectSameResults;
+using oracle_test::IdsOf;
+using oracle_test::RandomCorpus;
+using oracle_test::RandomSignature;
 using social::SocialDescriptor;
-
-struct CorpusEntry {
-  video::VideoId id;
-  SignatureSeries series;
-  SocialDescriptor descriptor;
-};
-
-CuboidSignature RandomSignature(Rng* rng) {
-  const int n = static_cast<int>(rng->UniformInt(1, 5));
-  CuboidSignature sig;
-  double total = 0.0;
-  for (int i = 0; i < n; ++i) {
-    Cuboid c;
-    // Coarse values make cross-video ties common — exactly where an inexact
-    // social shortcut would reorder results.
-    c.value = 5.0 * static_cast<double>(rng->UniformInt(-8, 8));
-    c.weight = rng->Uniform(0.1, 1.0);
-    total += c.weight;
-    sig.push_back(c);
-  }
-  for (Cuboid& c : sig) c.weight /= total;
-  return sig;
-}
-
-// `max_fans` controls descriptor-size skew: large spreads make the
-// cardinality bound bite, near-uniform sizes starve it.
-std::vector<CorpusEntry> RandomCorpus(Rng* rng, int videos, int users,
-                                      int max_fans = 4) {
-  std::vector<CorpusEntry> corpus;
-  corpus.reserve(static_cast<size_t>(videos));
-  for (int v = 0; v < videos; ++v) {
-    CorpusEntry entry;
-    entry.id = v;
-    const int segments = static_cast<int>(rng->UniformInt(1, 4));
-    for (int s = 0; s < segments; ++s) {
-      entry.series.push_back(RandomSignature(rng));
-    }
-    const int fans = static_cast<int>(rng->UniformInt(1, max_fans));
-    for (int f = 0; f < fans; ++f) {
-      const auto u =
-          static_cast<social::UserId>(rng->UniformInt(0, users - 1));
-      if (!entry.descriptor.Contains(u)) entry.descriptor.Add(u);
-    }
-    corpus.push_back(std::move(entry));
-  }
-  return corpus;
-}
-
-std::unique_ptr<Recommender> BuildFrom(
-    const std::vector<CorpusEntry>& corpus, int users,
-    RecommenderOptions options) {
-  options.num_threads = 1;
-  auto rec = std::make_unique<Recommender>(std::move(options));
-  for (const CorpusEntry& e : corpus) {
-    EXPECT_TRUE(rec->AddVideoRecord(e.id, e.series, e.descriptor).ok());
-  }
-  EXPECT_TRUE(rec->Finalize(static_cast<size_t>(users)).ok());
-  return rec;
-}
-
-// All three social fast layers off: dense histograms, name-set exact
-// Jaccard, pairwise SAR scoring.
-RecommenderOptions SocialNaive(RecommenderOptions options) {
-  options.sparse_social = false;
-  options.exact_social_by_id = false;
-  options.posting_social = false;
-  return options;
-}
-
-void ExpectSameResults(const std::vector<ScoredVideo>& got,
-                       const std::vector<ScoredVideo>& want,
-                       video::VideoId query) {
-  ASSERT_EQ(got.size(), want.size()) << "query " << query;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "query " << query << " rank " << i;
-    EXPECT_EQ(got[i].score, want[i].score)
-        << "query " << query << " rank " << i;
-    EXPECT_EQ(got[i].content, want[i].content)
-        << "query " << query << " rank " << i;
-    EXPECT_EQ(got[i].social, want[i].social)
-        << "query " << query << " rank " << i;
-  }
-}
-
-// Runs every video as a query against both instances and demands bitwise
-// agreement. `counters` (optional) accumulates the fast instance's social
-// counters so callers can assert the shortcuts actually fired.
-void ExpectEquivalent(const Recommender& fast, const Recommender& naive,
-                      const std::vector<CorpusEntry>& corpus, int k,
-                      QueryTiming* counters = nullptr) {
-  for (const CorpusEntry& e : corpus) {
-    QueryTiming fast_timing;
-    QueryTiming naive_timing;
-    const auto got = fast.RecommendById(e.id, k, &fast_timing);
-    const auto want = naive.RecommendById(e.id, k, &naive_timing);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ExpectSameResults(*got, *want, e.id);
-    // With every layer off the naive instance must never skip social work.
-    EXPECT_EQ(naive_timing.social_candidates_skipped, 0u);
-    EXPECT_EQ(naive_timing.exact_social_pruned, 0u);
-    if (counters != nullptr) {
-      counters->jaccard_calls += fast_timing.jaccard_calls;
-      counters->social_candidates_skipped +=
-          fast_timing.social_candidates_skipped;
-      counters->exact_social_pruned += fast_timing.exact_social_pruned;
-      counters->pool_bytes_streamed += fast_timing.pool_bytes_streamed;
-      counters->bound_batches += fast_timing.bound_batches;
-    }
-  }
-}
 
 RecommenderOptions BaseOptions(SocialMode mode) {
   RecommenderOptions options;
@@ -142,14 +37,20 @@ RecommenderOptions BaseOptions(SocialMode mode) {
   return options;
 }
 
+void ExpectAgrees(const std::vector<CorpusEntry>& corpus, int users,
+                  const RecommenderOptions& options, int k,
+                  QueryTiming* counters = nullptr) {
+  const auto engine = BuildEngine(corpus, users, options);
+  const auto oracle = BuildOracle(corpus, users, options);
+  ExpectMatchesOracle(*engine, *oracle, IdsOf(corpus), k, counters);
+}
+
 TEST(SocialFastPathTest, AllSocialModesAgree) {
   Rng rng(71);
   const auto corpus = RandomCorpus(&rng, 40, 16);
   for (const SocialMode mode : {SocialMode::kNone, SocialMode::kExact,
                                 SocialMode::kSar, SocialMode::kSarHash}) {
-    const auto fast = BuildFrom(corpus, 16, BaseOptions(mode));
-    const auto naive = BuildFrom(corpus, 16, SocialNaive(BaseOptions(mode)));
-    ExpectEquivalent(*fast, *naive, corpus, 8);
+    ExpectAgrees(corpus, 16, BaseOptions(mode), 8);
   }
 }
 
@@ -164,71 +65,8 @@ TEST(SocialFastPathTest, FusionRulesAndOmegasAgree) {
         RecommenderOptions options = BaseOptions(mode);
         options.fusion_rule = rule;
         options.omega = omega;
-        const auto fast = BuildFrom(corpus, 12, options);
-        const auto naive = BuildFrom(corpus, 12, SocialNaive(options));
-        ExpectEquivalent(*fast, *naive, corpus, 6);
+        ExpectAgrees(corpus, 12, options, 6);
       }
-    }
-  }
-}
-
-TEST(SocialFastPathTest, EachLayerAloneAgrees) {
-  Rng rng(79);
-  const auto corpus = RandomCorpus(&rng, 30, 12);
-  for (const SocialMode mode : {SocialMode::kExact, SocialMode::kSar,
-                                SocialMode::kSarHash}) {
-    const auto naive = BuildFrom(corpus, 12, SocialNaive(BaseOptions(mode)));
-    {
-      RecommenderOptions sparse_only = SocialNaive(BaseOptions(mode));
-      sparse_only.sparse_social = true;
-      const auto fast = BuildFrom(corpus, 12, sparse_only);
-      ExpectEquivalent(*fast, *naive, corpus, 6);
-    }
-    {
-      RecommenderOptions id_only = SocialNaive(BaseOptions(mode));
-      id_only.exact_social_by_id = true;
-      const auto fast = BuildFrom(corpus, 12, id_only);
-      ExpectEquivalent(*fast, *naive, corpus, 6);
-    }
-    {
-      // Posting-driven scoring does not require sparse record storage.
-      RecommenderOptions posting_only = SocialNaive(BaseOptions(mode));
-      posting_only.posting_social = true;
-      const auto fast = BuildFrom(corpus, 12, posting_only);
-      ExpectEquivalent(*fast, *naive, corpus, 6);
-    }
-  }
-}
-
-TEST(SocialFastPathTest, DataLayoutAblationAgrees) {
-  // The data-layout layers (pooled histograms / signature pool, batched
-  // bound kernels, arena scratch) cut across the social fast path: the SAR
-  // merge reads pooled histogram views, the exact mode's cardinality bound
-  // runs as one batched sweep, and vectorization is arena-backed. All 8
-  // combinations must match the layers-off oracle bit for bit, with the
-  // layout counters firing exactly when their layer is on.
-  Rng rng(83);
-  const auto corpus = RandomCorpus(&rng, 40, 16);
-  for (const SocialMode mode : {SocialMode::kExact, SocialMode::kSarHash}) {
-    // The oracle turns off the social fast layers AND the layout layers:
-    // every combination below must reproduce the dense pairwise baseline.
-    RecommenderOptions oracle_options = SocialNaive(BaseOptions(mode));
-    oracle_options.pooled_layout = false;
-    oracle_options.simd_kernels = false;
-    oracle_options.arena_scratch = false;
-    const auto oracle = BuildFrom(corpus, 16, oracle_options);
-    for (int mask = 0; mask < 8; ++mask) {
-      RecommenderOptions options = BaseOptions(mode);
-      options.pooled_layout = (mask & 1) != 0;
-      options.simd_kernels = (mask & 2) != 0;
-      options.arena_scratch = (mask & 4) != 0;
-      const auto fast = BuildFrom(corpus, 16, options);
-      QueryTiming counters;
-      ExpectEquivalent(*fast, *oracle, corpus, 6, &counters);
-      EXPECT_EQ(counters.pool_bytes_streamed > 0, options.pooled_layout)
-          << "mode " << static_cast<int>(mode) << " mask " << mask;
-      EXPECT_EQ(counters.bound_batches > 0, options.simd_kernels)
-          << "mode " << static_cast<int>(mode) << " mask " << mask;
     }
   }
 }
@@ -241,31 +79,30 @@ TEST(SocialFastPathTest, SocialOnlyRetrievalAgrees) {
   for (const SocialMode mode : {SocialMode::kExact, SocialMode::kSarHash}) {
     RecommenderOptions options = BaseOptions(mode);
     options.use_content = false;
-    const auto fast = BuildFrom(corpus, 16, options);
-    const auto naive = BuildFrom(corpus, 16, SocialNaive(options));
-    ExpectEquivalent(*fast, *naive, corpus, 8);
+    ExpectAgrees(corpus, 16, options, 8);
   }
 }
 
 TEST(SocialFastPathTest, ExactBoundPrunesAndAgrees) {
   // Skewed descriptor sizes plus a tight candidate budget: the cardinality
-  // bound must skip merges (nonzero counter) and change nothing.
+  // bound must skip merges (nonzero counter), its batched sweep must run,
+  // and none of it may change a result.
   Rng rng(89);
   const auto corpus = RandomCorpus(&rng, 60, 16, /*max_fans=*/12);
   RecommenderOptions options = BaseOptions(SocialMode::kExact);
   options.max_candidates = 8;
-  const auto fast = BuildFrom(corpus, 16, options);
-  const auto naive = BuildFrom(corpus, 16, SocialNaive(options));
   QueryTiming counters;
-  ExpectEquivalent(*fast, *naive, corpus, 4, &counters);
+  ExpectAgrees(corpus, 16, options, 4, &counters);
   EXPECT_GT(counters.exact_social_pruned, 0u);
   EXPECT_GT(counters.jaccard_calls, 0u);
+  EXPECT_GT(counters.bound_batches, 0u);
 }
 
 TEST(SocialFastPathTest, PostingWalkSkipsDisjointAudiences) {
   // Two audiences that never co-comment end up in disjoint sub-communities,
   // so the posting walk never touches the other cluster's records: the
-  // skip counter must fire while results stay identical.
+  // skip counter must fire and scores must come off the histogram pool,
+  // while results stay identical to the oracle.
   Rng rng(97);
   std::vector<CorpusEntry> corpus;
   for (int v = 0; v < 30; ++v) {
@@ -284,18 +121,16 @@ TEST(SocialFastPathTest, PostingWalkSkipsDisjointAudiences) {
     }
     corpus.push_back(std::move(entry));
   }
-  RecommenderOptions options = BaseOptions(SocialMode::kSarHash);
-  const auto fast = BuildFrom(corpus, 60, options);
-  const auto naive = BuildFrom(corpus, 60, SocialNaive(options));
   QueryTiming counters;
-  ExpectEquivalent(*fast, *naive, corpus, 6, &counters);
+  ExpectAgrees(corpus, 60, BaseOptions(SocialMode::kSarHash), 6, &counters);
   EXPECT_GT(counters.social_candidates_skipped, 0u);
+  EXPECT_GT(counters.pool_bytes_streamed, 0u);
 }
 
 TEST(SocialFastPathTest, EmptyAndUnknownUserQueries) {
   // An empty query descriptor and one made of users the dictionary has
-  // never seen both score zero social everywhere — on the fast and naive
-  // paths alike.
+  // never seen both score zero social everywhere — on the engine and the
+  // oracle alike.
   Rng rng(101);
   const auto corpus = RandomCorpus(&rng, 25, 12);
   SocialDescriptor empty;
@@ -304,28 +139,28 @@ TEST(SocialFastPathTest, EmptyAndUnknownUserQueries) {
   unknown.Add(501);
   for (const SocialMode mode : {SocialMode::kExact, SocialMode::kSar,
                                 SocialMode::kSarHash}) {
-    const auto fast = BuildFrom(corpus, 12, BaseOptions(mode));
-    const auto naive = BuildFrom(corpus, 12, SocialNaive(BaseOptions(mode)));
+    const auto engine = BuildEngine(corpus, 12, BaseOptions(mode));
+    const auto oracle = BuildOracle(corpus, 12, BaseOptions(mode));
     for (const SocialDescriptor* d : {&empty, &unknown}) {
-      const auto got = fast->Recommend(corpus[0].series, *d, 6);
-      const auto want = naive->Recommend(corpus[0].series, *d, 6);
+      const auto got = engine->Recommend(corpus[0].series, *d, 6);
+      const auto want = oracle->Recommend(corpus[0].series, *d, 6);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(want.ok()) << want.status().ToString();
-      ExpectSameResults(*got, *want, corpus[0].id);
+      ExpectSameResults(*got, *want, "query 0");
       for (const auto& r : *got) EXPECT_EQ(r.social, 0.0);
     }
   }
 }
 
 TEST(SocialFastPathTest, AgreesAfterSocialUpdates) {
-  // ApplySocialUpdate re-vectorizes touched records (sparse on the fast
-  // instance, dense-mirrored on the naive one) and can split or merge
+  // ApplySocialUpdate re-vectorizes only the touched records on the engine
+  // (the oracle recomputes every histogram) and can split or merge
   // sub-communities; equivalence must survive the maintenance pass.
   Rng rng(103);
   const auto corpus = RandomCorpus(&rng, 30, 12);
   for (const SocialMode mode : {SocialMode::kExact, SocialMode::kSarHash}) {
-    const auto fast = BuildFrom(corpus, 12, BaseOptions(mode));
-    const auto naive = BuildFrom(corpus, 12, SocialNaive(BaseOptions(mode)));
+    const auto engine = BuildEngine(corpus, 12, BaseOptions(mode));
+    const auto oracle = BuildOracle(corpus, 12, BaseOptions(mode));
     const std::vector<social::SocialConnection> connections = {
         {0, 5, 4.0}, {3, 7, 2.0}, {1, 9, 6.0}};
     std::vector<std::pair<video::VideoId, social::UserId>> comments;
@@ -334,17 +169,16 @@ TEST(SocialFastPathTest, AgreesAfterSocialUpdates) {
           static_cast<video::VideoId>(rng.UniformInt(0, 29)),
           static_cast<social::UserId>(rng.UniformInt(0, 11)));
     }
-    ASSERT_TRUE(fast->ApplySocialUpdate(connections, comments).ok());
-    ASSERT_TRUE(naive->ApplySocialUpdate(connections, comments).ok());
-    ASSERT_TRUE(fast->CheckInvariants().ok());
-    ASSERT_TRUE(naive->CheckInvariants().ok());
-    ExpectEquivalent(*fast, *naive, corpus, 6);
+    ASSERT_TRUE(engine->ApplySocialUpdate(connections, comments).ok());
+    ASSERT_TRUE(oracle->ApplySocialUpdate(connections, comments).ok());
+    ASSERT_TRUE(engine->CheckInvariants().ok());
+    ExpectMatchesOracle(*engine, *oracle, IdsOf(corpus), 6);
   }
 }
 
 TEST(SocialFastPathTest, SparseVectorizationMatchesDense) {
-  // Unit-level cross-check of the sparse kernels against their dense
-  // counterparts: same histogram after ToDense, same Jaccard bit for bit.
+  // Unit-level cross-check of the sparse kernels against the reference
+  // dense forms: same histogram after ToDense, same Jaccard bit for bit.
   Rng rng(107);
   const int k = 6;
   std::vector<int> labels;
@@ -366,15 +200,17 @@ TEST(SocialFastPathTest, SparseVectorizationMatchesDense) {
   for (const SocialDescriptor& d : descriptors) {
     const social::SparseHistogram sparse = dict.VectorizeSparse(d);
     EXPECT_TRUE(social::CheckSparseHistogram(sparse, dict.k()).ok());
-    EXPECT_EQ(social::ToDense(sparse, dict.k()), dict.Vectorize(d));
+    EXPECT_EQ(reference::ToDense(sparse, dict.k()),
+              reference::Vectorize(dict, d));
   }
   for (size_t a = 0; a < descriptors.size(); ++a) {
     for (size_t b = a + 1; b < descriptors.size(); ++b) {
       const auto sa = dict.VectorizeSparse(descriptors[a]);
       const auto sb = dict.VectorizeSparse(descriptors[b]);
       EXPECT_EQ(social::ApproxJaccardSparse(sa, sb),
-                social::ApproxJaccard(dict.Vectorize(descriptors[a]),
-                                      dict.Vectorize(descriptors[b])));
+                reference::ApproxJaccard(
+                    reference::Vectorize(dict, descriptors[a]),
+                    reference::Vectorize(dict, descriptors[b])));
     }
   }
 }

@@ -213,7 +213,7 @@ TEST(ArenaTest, ResetReclaimsAndKeepsLargestChunk) {
 }
 
 TEST(ArenaTest, AllocatorFallsBackToHeapOnNullArena) {
-  // The same container type must work in both `arena_scratch` states.
+  // The same container type must work arena-backed and heap-backed.
   util::ArenaVector<double> heap_backed{util::ArenaAllocator<double>(nullptr)};
   util::Arena arena;
   util::ArenaVector<double> arena_backed{util::ArenaAllocator<double>(&arena)};

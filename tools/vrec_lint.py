@@ -43,9 +43,10 @@ Rules (all scoped to library code under src/ unless noted):
   raw-scratch      No raw `new T[...]` / malloc / calloc / realloc in the
                    scoring kernels (src/signature/, src/social/) — per-query
                    scratch goes through util::Arena / ArenaVector (or a
-                   plain std container for owned state), so the
-                   `arena_scratch` ablation stays the single allocation
-                   policy switch and nothing leaks on early return.
+                   plain std container for owned state), so per-query
+                   memory has one allocation policy (the thread arena,
+                   reset once per query) and nothing leaks on early
+                   return.
 
 Any rule can be silenced per line with `// NOLINT(vrec-<rule>)`.
 
@@ -232,8 +233,7 @@ def lint_file(rel_path, lines):
                 report(line_no, "raw-scratch",
                        "raw new[]/malloc scratch in kernel code; use "
                        "util::Arena / ArenaVector (src/util/arena.h) so "
-                       "arena_scratch remains the one allocation policy "
-                       "switch")
+                       "per-query scratch keeps one allocation policy")
 
         if _LAST_TIMING.search(code) and not _suppressed(raw, "last-timing"):
             report(line_no, "last-timing",
